@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-from .graph import Graph, parse_edgelist, parse_lad
-from .solver import SolverConfig, solve
+from .graph import Graph, is_isomorphism, parse_edgelist, parse_lad
+from .solver import CONFIG_NAMES, SolverConfig, solve
 
 FORMATS = ("lad", "edgelist")
 
@@ -42,6 +42,7 @@ class InstanceReport:
     time_to_best: float
     branches_to_best: int
     sym_to_bound_ratio: float
+    verified: bool = False
     mapping: list = field(default_factory=list)
     error: str | None = None
 
@@ -69,7 +70,9 @@ def run_instance(
     """Solve one pair and report every counter as a flat record.
 
     Wall time wraps the whole solve, including the interchangeability-class
-    computation. Parse and validation errors propagate to the caller.
+    computation. ``verified`` records that the returned mapping was checked
+    as an induced isomorphism of the two graphs. Parse and validation errors
+    propagate to the caller.
     """
     g = load_graph(g_path, fmt, directed, loops)
     h = load_graph(h_path, fmt, directed, loops)
@@ -92,6 +95,7 @@ def run_instance(
         time_to_best=st.time_to_best,
         branches_to_best=st.branches_to_best,
         sym_to_bound_ratio=100.0 * (st.var_sym_prunes + st.val_sym_prunes) / max(st.bound_prunes, 1),
+        verified=is_isomorphism(g, h, sol.mapping),
         mapping=[[g.display_name(v), h.display_name(u)] for v, u in sol.mapping],
     )
 
@@ -242,7 +246,7 @@ def run_batch(
     if configs is None:
         configs = ["dual", "none"]
     for c in configs:
-        if c not in ("none", "var", "val", "dual"):
+        if c not in CONFIG_NAMES:
             raise ValueError(f"unknown config name {c!r}")
     if jobs is None:
         jobs = os.cpu_count() or 1

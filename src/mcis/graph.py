@@ -89,9 +89,9 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """Neighbor count; for directed graphs, in-degree plus out-degree."""
-        d = _popcount(self.out_bits[v])
+        d = self.out_bits[v].bit_count()
         if self.directed:
-            d += _popcount(self.in_bits[v])
+            d += self.in_bits[v].bit_count()
         return d
 
     @property
@@ -130,10 +130,6 @@ class Graph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, m={len(self.edges())}, {kind})"
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _bits_to_list(bits: int) -> list[int]:
@@ -235,7 +231,10 @@ def parse_edgelist(text: str, directed: bool = False, allow_loops: bool = False)
         elif numeric != is_num:
             raise GraphParseError(ln, "cannot mix numeric ids and symbolic names")
         if is_num:
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:
+                raise GraphParseError(ln, f"vertex id {tok!r} is not an integer") from None
             if not 0 <= v < n:
                 raise GraphParseError(ln, f"vertex id {v} out of range for n={n}")
             return v

@@ -29,9 +29,12 @@ which in turn makes branch counts shrink monotonically as rules are added.
 
 Module layout: the plain-list functions (``upper_bound``, ``select_*``,
 ``refine_partition``...) are the readable contract surface, convenient for
-tests and instrumentation. ``solve`` runs the same decisions on a flat
-vertex array with (start, length) slices, rebuilt in place per recursion,
-which avoids churning small lists in the hot path.
+tests and instrumentation. ``solve`` runs the same decisions on bitsets.
+It relabels G once by (-degree, id) and H once by the value order, so a
+bidomain's branching vertex is its lowest G bit and its candidates come
+out in value order by walking its H bits upward. Refinement is a few ANDs
+per bidomain, and pairs are mapped back to the original ids only when an
+incumbent is recorded.
 """
 
 from __future__ import annotations
@@ -42,7 +45,15 @@ from time import perf_counter
 from .graph import Graph
 from .symmetry import SymmetryClasses, compute_symmetry_classes
 
-CONFIG_NAMES = ("none", "var", "val", "dual")
+# (var_sym, val_sym) of each standard rule combination, by name
+_CONFIG_RULES = {
+    "none": (False, False),
+    "var": (True, False),
+    "val": (False, True),
+    "dual": (True, True),
+}
+CONFIG_NAMES = tuple(_CONFIG_RULES)
+_CONFIG_BY_RULES = {rules: name for name, rules in _CONFIG_RULES.items()}
 
 
 @dataclass
@@ -62,24 +73,14 @@ class SolverConfig:
     def from_name(cls, name: str, **kwargs) -> "SolverConfig":
         """Build one of the standard rule combinations by name."""
         try:
-            var_sym, val_sym = {
-                "none": (False, False),
-                "var": (True, False),
-                "val": (False, True),
-                "dual": (True, True),
-            }[name]
+            var_sym, val_sym = _CONFIG_RULES[name]
         except KeyError:
             raise ValueError(f"unknown config {name!r}, expected one of {CONFIG_NAMES}") from None
         return cls(var_sym=var_sym, val_sym=val_sym, **kwargs)
 
     @property
     def name(self) -> str:
-        return {
-            (False, False): "none",
-            (True, False): "var",
-            (False, True): "val",
-            (True, True): "dual",
-        }[(self.var_sym, self.val_sym)]
+        return _CONFIG_BY_RULES[(self.var_sym, self.val_sym)]
 
 
 @dataclass
@@ -242,26 +243,34 @@ class _Timeout(Exception):
 
 
 class _Engine:
-    """Flat-array implementation of the search.
+    """Bitset implementation of the search.
 
-    All bidomains are (start, length) slices into two shared vertex arrays.
-    Refinement permutes vertices only inside the parent's slices, so every
-    ancestor's view stays valid without any restore work on backtrack; the
-    one in-place mutation (dropping the branching vertex) parks it just past
-    the live region, still inside the parent slice.
+    Both graphs are relabelled once, up front. G is relabelled by
+    (-degree, id), so the branching vertex of a bidomain is its lowest set
+    bit. H is relabelled by the value order, so a vertex's label is its
+    rank, and walking a bidomain's H bits upward yields the candidates in
+    value order. A bidomain is a ``(g_bits, h_bits, g_len, h_len)`` tuple,
+    and refinement splits each side with one AND and one XOR per adjacency
+    row. Pairs are mapped back to the original ids only when an incumbent
+    is recorded.
     """
 
     def __init__(self, g, h, classes_g, classes_h, config, t0):
-        self.g_out = g.out_bits
-        self.g_in = g.in_bits
-        self.h_out = h.out_bits
-        self.h_in = h.in_bits
+        self.g_ids = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        rank = value_order_ranks(h, classes_h)
+        self.h_ids = sorted(range(h.n), key=rank.__getitem__)
+        g_new = [0] * g.n
+        for i, v in enumerate(self.g_ids):
+            g_new[v] = i
+        self.g_out = _relabel(g.out_bits, self.g_ids, g_new)
+        self.h_out = _relabel(h.out_bits, self.h_ids, rank)
         self.directed = g.directed
-        self.gdeg = [g.degree(v) for v in range(g.n)]
-        self.gclass = classes_g.class_id
-        self.hclass = classes_h.class_id
-        self.g_peers = [len(classes_g.peers(v)) > 1 for v in range(g.n)]
-        self.rank = value_order_ranks(h, classes_h)
+        if g.directed:
+            self.g_in = _relabel(g.in_bits, self.g_ids, g_new)
+            self.h_in = _relabel(h.in_bits, self.h_ids, rank)
+        self.gclass = [classes_g.class_id[v] for v in self.g_ids]
+        self.hclass = [classes_h.class_id[u] for u in self.h_ids]
+        self.g_peers = [len(classes_g.peers(v)) > 1 for v in self.g_ids]
         self.bot_rank = h.n
         self.use_var = config.var_sym
         self.use_val = config.val_sym
@@ -270,14 +279,11 @@ class _Engine:
         self.check_interval = config.branch_check_interval
         self._tick = 1
 
-        parts = initial_partition(g, h)
-        self.left = []
-        self.right = []
         self.root_bds = []
-        for bd in parts:
-            self.root_bds.append([len(self.left), len(self.right), len(bd.gs), len(bd.hs)])
-            self.left.extend(bd.gs)
-            self.right.extend(bd.hs)
+        for bd in initial_partition(g, h):
+            g_bits = sum(1 << g_new[v] for v in bd.gs)
+            h_bits = sum(1 << rank[u] for u in bd.hs)
+            self.root_bds.append((g_bits, h_bits, len(bd.gs), len(bd.hs)))
 
         self.mapping: list[tuple[int, int | None]] = []
         self.match_count = 0
@@ -298,6 +304,7 @@ class _Engine:
             return False
 
     def _search(self, bds):
+        # bds belongs to this call: no caller reads it after passing it here
         self.branches += 1
         self._tick -= 1
         if self._tick <= 0:
@@ -308,166 +315,133 @@ class _Engine:
         mc = self.match_count
         if mc > self.best_size:
             self.best_size = mc
-            self.best = [p for p in self.mapping if p[1] is not None]
+            g_ids = self.g_ids
+            h_ids = self.h_ids
+            self.best = [(g_ids[v], h_ids[u]) for v, u in self.mapping if u is not None]
             self.time_to_best = perf_counter() - self.t0
             self.branches_to_best = self.branches
 
         bound = mc
-        for bd in bds:
-            bound += bd[2] if bd[2] < bd[3] else bd[3]
+        for _, _, gl, hl in bds:
+            bound += gl if gl < hl else hl
         if bound <= self.best_size:
             self.bound_prunes += 1
             return
 
         best_i = 0
         best_k = 1 << 60
-        for i, bd in enumerate(bds):
-            k = bd[2] if bd[2] >= bd[3] else bd[3]
+        for i, (_, _, gl, hl) in enumerate(bds):
+            k = gl if gl >= hl else hl
             if k < best_k:
                 best_k = k
                 best_i = i
-        bd = bds[best_i]
-        l, r, ll, rl = bd
+        gb, hb, gl, hl = bds[best_i]
+        low = gb & -gb
+        v = low.bit_length() - 1
+        gb ^= low
+        gl -= 1
 
-        left = self.left
-        gdeg = self.gdeg
-        vpos = l
-        v = left[l]
-        for i in range(l + 1, l + ll):
-            w = left[i]
-            if gdeg[w] > gdeg[v] or (gdeg[w] == gdeg[v] and w < v):
-                v = w
-                vpos = i
-        last = l + ll - 1
-        left[vpos] = left[last]
-        left[last] = v
-        bd[2] = ll - 1
-
-        rank = self.rank
         var_bound = -1
         if self.use_var and self.g_peers[v]:
             cls = self.gclass[v]
             gclass = self.gclass
             for pv, pu in self.mapping:
                 if gclass[pv] == cls:
-                    rk = self.bot_rank if pu is None else rank[pu]
+                    rk = self.bot_rank if pu is None else pu
                     if rk > var_bound:
                         var_bound = rk
 
-        cands = sorted(self.right[r : r + rl], key=rank.__getitem__)
         hclass = self.hclass
+        prev_class = -1
+        cands = hb
+        if var_bound > 0:
+            # every candidate ranked below the bound loses to a swap
+            skipped = cands & ((1 << var_bound) - 1)
+            if skipped:
+                self.var_sym_prunes += skipped.bit_count()
+                prev_class = hclass[skipped.bit_length() - 1]
+                cands ^= skipped
         use_val = self.use_val
         mapping = self.mapping
-        prev_class = -1
-        for u in cands:
+        while cands:
+            ulow = cands & -cands
+            cands ^= ulow
+            u = ulow.bit_length() - 1
             ucls = hclass[u]
-            if var_bound >= 0 and rank[u] < var_bound:
-                self.var_sym_prunes += 1
-                prev_class = ucls
-                continue
             if use_val and ucls == prev_class:
                 # an interchangeable candidate was first in this bidomain
                 self.val_sym_prunes += 1
                 continue
             prev_class = ucls
+            bds[best_i] = (gb, hb ^ ulow, gl, hl - 1)
             mapping.append((v, u))
             self.match_count = mc + 1
             self._search(self._refine(bds, v, u))
             mapping.pop()
-            self.match_count = mc
+        self.match_count = mc
 
-        mapping.append((v, None))
-        if bd[2] == 0:
-            self._search([b for b in bds if b is not bd])
+        if gl == 0:
+            del bds[best_i]
         else:
-            self._search(bds)
+            bds[best_i] = (gb, hb, gl, hl)
+        mapping.append((v, None))
+        self._search(bds)
         mapping.pop()
 
     def _refine(self, bds, v, u):
-        left = self.left
-        right = self.right
         new_bds = []
         if not self.directed:
             g_adj = self.g_out[v]
             h_adj = self.h_out[u]
-            for bd in bds:
-                l, r, ll, rl = bd
-                g0 = []
-                g1 = []
-                for i in range(l, l + ll):
-                    w = left[i]
-                    if (g_adj >> w) & 1:
-                        g1.append(w)
-                    else:
-                        g0.append(w)
-                h0 = []
-                h1 = []
-                had_u = False
-                for i in range(r, r + rl):
-                    y = right[i]
-                    if y == u:
-                        had_u = True
-                    elif (h_adj >> y) & 1:
-                        h1.append(y)
-                    else:
-                        h0.append(y)
-                pos = l
-                for w in g0:
-                    left[pos] = w
-                    pos += 1
-                for w in g1:
-                    left[pos] = w
-                    pos += 1
-                pos = r
-                for y in h0:
-                    right[pos] = y
-                    pos += 1
-                for y in h1:
-                    right[pos] = y
-                    pos += 1
-                if had_u:
-                    right[pos] = u
+            for gb, hb, _, _ in bds:
+                g1 = gb & g_adj
+                h1 = hb & h_adj
+                g0 = gb ^ g1
+                h0 = hb ^ h1
                 if g0 and h0:
-                    new_bds.append([l, r, len(g0), len(h0)])
+                    new_bds.append((g0, h0, g0.bit_count(), h0.bit_count()))
                 if g1 and h1:
-                    new_bds.append([l + len(g0), r + len(h0), len(g1), len(h1)])
+                    new_bds.append((g1, h1, g1.bit_count(), h1.bit_count()))
         else:
             g_o, g_i = self.g_out[v], self.g_in[v]
             h_o, h_i = self.h_out[u], self.h_in[u]
-            for bd in bds:
-                l, r, ll, rl = bd
-                gb = ([], [], [], [])
-                for i in range(l, l + ll):
-                    w = left[i]
-                    gb[(((g_o >> w) & 1) << 1) | ((g_i >> w) & 1)].append(w)
-                hb = ([], [], [], [])
-                had_u = False
-                for i in range(r, r + rl):
-                    y = right[i]
-                    if y == u:
-                        had_u = True
-                    else:
-                        hb[(((h_o >> y) & 1) << 1) | ((h_i >> y) & 1)].append(y)
-                pos = l
-                goff = [0, 0, 0, 0]
-                for k in range(4):
-                    goff[k] = pos
-                    for w in gb[k]:
-                        left[pos] = w
-                        pos += 1
-                pos = r
-                hoff = [0, 0, 0, 0]
-                for k in range(4):
-                    hoff[k] = pos
-                    for y in hb[k]:
-                        right[pos] = y
-                        pos += 1
-                if had_u:
-                    right[pos] = u
-                for k in range(4):
-                    if gb[k] and hb[k]:
-                        new_bds.append([goff[k], hoff[k], len(gb[k]), len(hb[k])])
+            for gb, hb, _, _ in bds:
+                g_out = gb & g_o
+                h_out = hb & h_o
+                g_none = gb ^ g_out
+                h_none = hb ^ h_out
+                g_in = g_none & g_i
+                h_in = h_none & h_i
+                g_none ^= g_in
+                h_none ^= h_in
+                g_both = g_out & g_i
+                h_both = h_out & h_i
+                g_out ^= g_both
+                h_out ^= h_both
+                # (out, in) buckets in the order 00, 01, 10, 11
+                if g_none and h_none:
+                    new_bds.append((g_none, h_none, g_none.bit_count(), h_none.bit_count()))
+                if g_in and h_in:
+                    new_bds.append((g_in, h_in, g_in.bit_count(), h_in.bit_count()))
+                if g_out and h_out:
+                    new_bds.append((g_out, h_out, g_out.bit_count(), h_out.bit_count()))
+                if g_both and h_both:
+                    new_bds.append((g_both, h_both, g_both.bit_count(), h_both.bit_count()))
         return new_bds
+
+
+def _relabel(rows: list[int], order: list[int], new_id: list[int]) -> list[int]:
+    """Adjacency rows renumbered: row i is old vertex order[i], bits by new_id."""
+    out = []
+    for old in order:
+        bits = rows[old]
+        row = 0
+        while bits:
+            low = bits & -bits
+            row |= 1 << new_id[low.bit_length() - 1]
+            bits ^= low
+        out.append(row)
+    return out
 
 
 def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:

@@ -40,14 +40,14 @@ class CorpusPair:
     h: Graph
 
 
-def corpus_pairs(count=500, seed=CORPUS_SEED, max_n=8) -> list[CorpusPair]:
+def corpus_pairs(count=500, seed=CORPUS_SEED, max_n=8, min_n=2) -> list[CorpusPair]:
     rng = random.Random(seed)
     out = []
     for i in range(count):
         p = EDGE_PROBS[i % len(EDGE_PROBS)]
         directed, loops = MODES[i % len(MODES)]
-        n_g = rng.randint(2, max_n)
-        n_h = rng.randint(2, max_n)
+        n_g = rng.randint(min_n, max_n)
+        n_h = rng.randint(min_n, max_n)
         g = random_graph(rng, n_g, p, directed, loops)
         h = random_graph(rng, n_h, p, directed, loops)
         out.append(CorpusPair(i, p, directed, loops, g, h))

@@ -3,7 +3,17 @@ import random
 
 import pytest
 
-from mcis import Graph, SolverConfig, aggregate_reports, run_batch, run_instance, to_lad
+import mcis.bench
+from mcis import (
+    Graph,
+    SearchStats,
+    Solution,
+    SolverConfig,
+    aggregate_reports,
+    run_batch,
+    run_instance,
+    to_lad,
+)
 from mcis.bench import _curve_bounds, load_graph, read_manifest
 
 K3_LAD = "3\n2 1 2\n2 0 2\n2 0 1\n"
@@ -31,10 +41,22 @@ def test_run_instance_triangles(k3_pair):
     assert rep.completed
     assert rep.config == "dual"
     assert rep.error is None
+    assert rep.verified
     assert rep.branches >= rep.branches_to_best
     assert sorted(rep.mapping) == [["0", "0"], ["1", "1"], ["2", "2"]]
     expected = 100.0 * (rep.var_sym_prunes + rep.val_sym_prunes) / max(rep.bound_prunes, 1)
     assert rep.sym_to_bound_ratio == expected
+
+
+def test_run_instance_reports_broken_mapping_unverified(tmp_path, monkeypatch):
+    g = write(tmp_path / "g.lad", K3_LAD)
+    h = write(tmp_path / "h.lad", P3_LAD)
+    # 0 and 2 are adjacent in K3 but not in P3
+    broken = Solution(mapping=[(0, 0), (2, 2)], stats=SearchStats(incumbent_size=2))
+    monkeypatch.setattr(mcis.bench, "solve", lambda *args: broken)
+    rep = run_instance(g, h, SolverConfig())
+    assert rep.mapping == [["0", "0"], ["2", "2"]]
+    assert rep.verified is False
 
 
 def test_run_instance_star_dual_prunes_more(tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from known_instance import WITNESS, graph_g, graph_h
 from mcis import (
@@ -165,11 +165,47 @@ def test_parse_edgelist_named_vertices_intern_in_order():
         "2 1\n0 1\n1 0\n",  # more edge lines than m
         "1 1\na b\n",  # more names than n
         "2 1\n0 1 2\n",  # three tokens on an edge line
+        "2 1\n² 1\n",  # str.isdigit accepts superscripts, int does not
+        "2 1\n--1 0\n",  # looks numeric once the minus signs are stripped
     ],
 )
 def test_parse_edgelist_errors(text):
     with pytest.raises(GraphParseError):
         parse_edgelist(text)
+
+
+# tokens stay at most three characters long, so no header asks for a big graph
+_tokens = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["a", "²", "--1", "+1", "٣"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Text near both formats: headers that often fit the body, LAD-like rows."""
+    rows = draw(st.lists(st.lists(_tokens, min_size=1, max_size=3), max_size=6))
+    if draw(st.booleans()):
+        rows = [[str(len(r))] + r for r in rows]
+    header = draw(
+        st.one_of(
+            st.just([str(len(rows))]),
+            st.integers(0, 6).map(lambda n: [str(n), str(len(rows))]),
+            st.lists(_tokens, max_size=3),
+        )
+    )
+    return "\n".join(" ".join(r) for r in [header] + rows)
+
+
+@settings(max_examples=300)
+@given(_graph_texts(), st.booleans(), st.booleans())
+def test_parsers_raise_only_graph_parse_error(text, directed, loops):
+    for parse in (parse_lad, lambda t: parse_edgelist(t, directed=directed, allow_loops=loops)):
+        try:
+            parse(text)
+        except GraphParseError:
+            pass
 
 
 # -- serialization round-trips -----------------------------------------------

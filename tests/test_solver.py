@@ -385,7 +385,8 @@ def test_zero_timeout_still_returns():
 
 
 def test_engine_matches_reference_on_random_pairs():
-    pairs = corpus_pairs(count=80)
+    # the larger pairs, past the corpus's n <= 8, cover all four modes too
+    pairs = corpus_pairs(count=80) + corpus_pairs(count=200, seed=9012, min_n=9, max_n=12)
     for pair in pairs:
         for name in CONFIG_NAMES:
             config = SolverConfig.from_name(name)
@@ -407,7 +408,7 @@ def test_engine_matches_reference_on_random_pairs():
                 ref_stats["incumbent_size"],
                 ref_stats["branches_to_best"],
             ), f"pair {pair.index} config {name}"
-            assert sorted(sol.mapping) == sorted(ref_mapping)
+            assert sol.mapping == ref_mapping, f"pair {pair.index} config {name}"
 
 
 def test_solve_matches_oracle_on_small_pairs():
