@@ -9,6 +9,7 @@ completed, 2 on timeout and 1 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,6 +25,8 @@ def _add_format_args(p: argparse.ArgumentParser):
     p.add_argument("--loops", action="store_true", help="allow self-loops in edge lists")
 
 
+# built once per process: parse_args keeps no state on the parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mcis", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -11,11 +11,19 @@ No vertex can sit in a non-trivial class of both kinds at once, so grouping
 vertices by their open-neighborhood key and, separately, by their
 closed-neighborhood key yields a single well-defined partition into classes.
 
-Keys are canonical sorted tuples, so the whole computation is one pass over
-the adjacency lists plus dictionary grouping: O(n^2) for dense graphs.
-Self-loops are encoded by appending a reserved sentinel id (``n``, one past
-the largest vertex id) to the key; for directed graphs a key holds the pair
-of in- and out-neighbor tuples and the sentinel joins both sides.
+Detection groups vertices on int triples taken straight from the bitset
+rows: ``(out_bits[v], in_bits[v], loops[v])`` for the open neighborhood and
+``(out_bits[v] | 1 << v, in_bits[v] | 1 << v, loops[v])`` for the closed one.
+Two vertices have equal triples exactly when their canonical tuple keys
+(``negative_neighborhood`` / ``positive_neighborhood``, the readable
+definition kept for display and tests) are equal, so the partition is the
+same. The cost is O(n) Python steps plus hashing and comparing n-bit ints:
+about n^2 / 30 big-int digit operations in all (CPython stores 30 bits per
+digit), whatever the edge count.
+
+In the tuple keys, self-loops are encoded by appending a reserved sentinel
+id (``n``, one past the largest vertex id); for directed graphs a key holds
+the pair of in- and out-neighbor tuples and the sentinel joins both sides.
 """
 
 from __future__ import annotations
@@ -101,18 +109,19 @@ class SymmetryClasses:
 
 
 def compute_symmetry_classes(g: Graph) -> SymmetryClasses:
-    """Group vertices by canonical neighborhood keys.
+    """Group vertices by their open and closed neighborhood rows.
 
     Dict lookup performs the hash-bucket-then-exact-compare step, so the
     result never depends on hash injectivity.
     """
-    neg_groups: dict[NeighborhoodKey, list[int]] = {}
-    pos_groups: dict[NeighborhoodKey, list[int]] = {}
+    neg_groups: dict[tuple[int, int, bool], list[int]] = {}
+    pos_groups: dict[tuple[int, int, bool], list[int]] = {}
     neg_keys = []
     pos_keys = []
-    for v in range(g.n):
-        nk = negative_neighborhood(g, v)
-        pk = positive_neighborhood(g, v)
+    for v, (out, inn, loop) in enumerate(zip(g.out_bits, g.in_bits, g.loops)):
+        bit = 1 << v
+        nk = (out, inn, loop)
+        pk = (out | bit, inn | bit, loop)
         neg_keys.append(nk)
         pos_keys.append(pk)
         neg_groups.setdefault(nk, []).append(v)

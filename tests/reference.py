@@ -5,6 +5,8 @@ the plain-list partition functions; differential tests hold the two to
 identical counters. ``enumerate_tree`` walks the complete unpruned search
 tree of tiny instances, reporting each node's bound and each terminal
 branch together with whether either pruning rule would have fired on it.
+``reference_classes`` groups vertices by the definitional tuple keys, the
+oracle for the bitset-row grouping of ``compute_symmetry_classes``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from mcis import (
     Bidomain,
     compute_symmetry_classes,
     initial_partition,
+    negative_neighborhood,
     order_values,
+    positive_neighborhood,
     refine_partition,
     select_bidomain,
     select_vertex,
@@ -125,3 +129,35 @@ def enumerate_tree(g, h, on_node=None, collect_branches=None):
         return best
 
     return walk(initial_partition(g, h), None, False, False)
+
+
+def reference_classes(g):
+    """(class_id, class_members, class_kind) grouped by the tuple keys.
+
+    Each vertex joins its ``negative_neighborhood`` group if that has a
+    second member, else its ``positive_neighborhood`` group if that does,
+    else a singleton; ids follow each class's smallest member.
+    """
+    neg_keys = [negative_neighborhood(g, v) for v in range(g.n)]
+    pos_keys = [positive_neighborhood(g, v) for v in range(g.n)]
+    neg_groups, pos_groups = {}, {}
+    for v in range(g.n):
+        neg_groups.setdefault(neg_keys[v], []).append(v)
+        pos_groups.setdefault(pos_keys[v], []).append(v)
+    class_id = [-1] * g.n
+    class_members, class_kind = {}, {}
+    for v in range(g.n):
+        if class_id[v] != -1:
+            continue
+        if len(neg_groups[neg_keys[v]]) > 1:
+            group, kind = neg_groups[neg_keys[v]], "negative"
+        elif len(pos_groups[pos_keys[v]]) > 1:
+            group, kind = pos_groups[pos_keys[v]], "positive"
+        else:
+            group, kind = [v], "singleton"
+        cid = len(class_members)
+        for w in group:
+            class_id[w] = cid
+        class_members[cid] = tuple(group)
+        class_kind[cid] = kind
+    return class_id, class_members, class_kind

@@ -47,6 +47,18 @@ def test_solve_rule_flags(capsys, k3):
     assert payload["var_sym_prunes"] == 0 and payload["val_sym_prunes"] == 0
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path, k3):
+    # the parser is built once per process; flags of one call must not leak
+    code, out, _ = run(capsys, "solve", k3, k3, "--no-var-sym")
+    assert code == 0 and json.loads(out)["config"] == "val"
+    code, out, _ = run(capsys, "solve", k3, k3)
+    assert code == 0 and json.loads(out)["config"] == "dual"
+    star = write(tmp_path / "star.lad", to_lad(Graph(3, [(0, 1), (0, 2)])))
+    code, out, _ = run(capsys, "symmetry", star)
+    assert code == 0
+    assert json.loads(out) == {"classes": [{"kind": "negative", "members": [1, 2]}]}
+
+
 def test_solve_writes_stats_json(capsys, tmp_path, k3):
     stats = tmp_path / "stats.json"
     code, out, _ = run(capsys, "solve", k3, k3, "--stats-json", str(stats))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from known_instance import G_CLASSES, H_CLASSES, graph_g, graph_h
+from reference import reference_classes
 from mcis import (
     Graph,
     are_symmetric,
@@ -19,6 +20,26 @@ def graphs(draw, max_n=10):
     edges = draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
     )
+    return Graph(n, edges, directed=directed)
+
+
+@st.composite
+def mode_graphs(draw, max_n=14):
+    """Graphs of 0..max_n vertices in every directed x loops mode.
+
+    Each vertex's row is drawn as one bitmask, so empty and full rows, and
+    with them twins of both kinds, come up often.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    directed = draw(st.booleans())
+    loops = draw(st.booleans())
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    edges = [
+        (v, w)
+        for v in range(n)
+        for w in range(n)
+        if rows[v] >> w & 1 and (v < w or (directed and v != w) or (loops and v == w))
+    ]
     return Graph(n, edges, directed=directed)
 
 
@@ -206,3 +227,14 @@ def test_symmetry_is_transitive(g):
                 for w in members:
                     if u != v and v != w and u != w:
                         assert are_symmetric(classes, u, w)
+
+
+@settings(max_examples=300)
+@given(mode_graphs())
+def test_classes_match_tuple_key_grouping(g):
+    # the bitset-row grouping against the definitional keys, up to n = 14
+    classes = compute_symmetry_classes(g)
+    assert (classes.class_id, classes.class_members, classes.class_kind) == reference_classes(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert are_symmetric(classes, u, v) == verify_swap_automorphism(g, u, v)
