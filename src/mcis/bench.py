@@ -32,16 +32,16 @@ _CURVE_STEPS = (1, 2, 5)
 class InstanceReport:
     instance: str
     config: str
-    incumbent_size: int
-    completed: bool
-    wall_time: float
-    branches: int
-    bound_prunes: int
-    var_sym_prunes: int
-    val_sym_prunes: int
-    time_to_best: float
-    branches_to_best: int
-    sym_to_bound_ratio: float
+    incumbent_size: int = 0
+    completed: bool = False
+    wall_time: float = 0.0
+    branches: int = 0
+    bound_prunes: int = 0
+    var_sym_prunes: int = 0
+    val_sym_prunes: int = 0
+    time_to_best: float = 0.0
+    branches_to_best: int = 0
+    sym_to_bound_ratio: float = 0.0
     verified: bool = False
     mapping: list = field(default_factory=list)
     error: str | None = None
@@ -83,17 +83,10 @@ def run_instance(
     if instance_id is None:
         instance_id = f"{g_path}:{h_path}"
     return InstanceReport(
-        instance=str(instance_id),
-        config=config.name,
-        incumbent_size=st.incumbent_size,
-        completed=st.completed,
+        str(instance_id),
+        config.name,
         wall_time=wall,
-        branches=st.branches,
-        bound_prunes=st.bound_prunes,
-        var_sym_prunes=st.var_sym_prunes,
-        val_sym_prunes=st.val_sym_prunes,
-        time_to_best=st.time_to_best,
-        branches_to_best=st.branches_to_best,
+        **asdict(st),
         sym_to_bound_ratio=100.0 * (st.var_sym_prunes + st.val_sym_prunes) / max(st.bound_prunes, 1),
         verified=is_isomorphism(g, h, sol.mapping),
         mapping=[[g.display_name(v), h.display_name(u)] for v, u in sol.mapping],
@@ -125,23 +118,7 @@ def _run_task(task) -> dict:
     try:
         report = run_instance(g_path, h_path, config, fmt, directed, loops, instance_id)
     except Exception as exc:  # recorded, the batch keeps going
-        return asdict(
-            InstanceReport(
-                instance=str(instance_id),
-                config=cfg_name,
-                incumbent_size=0,
-                completed=False,
-                wall_time=0.0,
-                branches=0,
-                bound_prunes=0,
-                var_sym_prunes=0,
-                val_sym_prunes=0,
-                time_to_best=0.0,
-                branches_to_best=0,
-                sym_to_bound_ratio=0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
+        report = InstanceReport(str(instance_id), cfg_name, error=f"{type(exc).__name__}: {exc}")
     return asdict(report)
 
 

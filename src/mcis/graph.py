@@ -133,13 +133,12 @@ class Graph:
 
 
 def _bits_to_list(bits: int) -> list[int]:
+    """Positions of the set bits in ascending order, one step per set bit."""
     out = []
-    v = 0
     while bits:
-        if bits & 1:
-            out.append(v)
-        bits >>= 1
-        v += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

@@ -27,14 +27,11 @@ rules, in every configuration. Keeping the two aligned means a skipped
 branch's surviving twin is always explored earlier in depth-first order,
 which in turn makes branch counts shrink monotonically as rules are added.
 
-Module layout: the plain-list functions (``upper_bound``, ``select_*``,
-``refine_partition``...) are the readable contract surface, convenient for
-tests and instrumentation. ``solve`` runs the same decisions on bitsets.
-It relabels G once by (-degree, id) and H once by the value order, so a
-bidomain's branching vertex is its lowest G bit and its candidates come
-out in value order by walking its H bits upward. Refinement is a few ANDs
-per bidomain, and pairs are mapped back to the original ids only when an
-incumbent is recorded.
+Module layout: ``solve`` runs the search on bitsets (``_Engine``), and
+the engine calls none of the plain-list functions (``initial_partition``,
+``upper_bound``, ``select_*``, ``refine_partition``...). They spell the
+same decisions over vertex lists and are kept as the independent reference
+the tests hold the engine to, counter for counter and pair for pair.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from .graph import Graph
+from .graph import Graph, _bits_to_list
 from .symmetry import SymmetryClasses, compute_symmetry_classes
 
 # (var_sym, val_sym) of each standard rule combination, by name
@@ -55,17 +52,17 @@ _CONFIG_RULES = {
 CONFIG_NAMES = tuple(_CONFIG_RULES)
 _CONFIG_BY_RULES = {rules: name for name, rules in _CONFIG_RULES.items()}
 
+# search nodes between two reads of the clock when a timeout is set
+_CHECK_INTERVAL = 1024
+
 
 @dataclass
 class SolverConfig:
     var_sym: bool = True
     val_sym: bool = True
     timeout: float | None = None
-    branch_check_interval: int = 1024
 
     def __post_init__(self):
-        if self.branch_check_interval < 1:
-            raise ValueError("branch_check_interval must be at least 1")
         if self.timeout is not None and self.timeout < 0:
             raise ValueError("timeout must be non-negative")
 
@@ -250,9 +247,11 @@ class _Engine:
     bit. H is relabelled by the value order, so a vertex's label is its
     rank, and walking a bidomain's H bits upward yields the candidates in
     value order. A bidomain is a ``(g_bits, h_bits, g_len, h_len)`` tuple,
-    and refinement splits each side with one AND and one XOR per adjacency
-    row. Pairs are mapped back to the original ids only when an incumbent
-    is recorded.
+    and :func:`_split` is the one partition operation: it halves every
+    bidomain by one row per side. The root is the whole vertex sets split
+    by loop flag; a match splits by the out-rows of the pair and, for
+    directed graphs, then by the in-rows. Pairs are mapped back to the
+    original ids only when an incumbent is recorded.
     """
 
     def __init__(self, g, h, classes_g, classes_h, config, t0):
@@ -276,14 +275,12 @@ class _Engine:
         self.use_val = config.val_sym
         self.t0 = t0
         self.deadline = None if config.timeout is None else t0 + config.timeout
-        self.check_interval = config.branch_check_interval
         self._tick = 1
 
-        self.root_bds = []
-        for bd in initial_partition(g, h):
-            g_bits = sum(1 << g_new[v] for v in bd.gs)
-            h_bits = sum(1 << rank[u] for u in bd.hs)
-            self.root_bds.append((g_bits, h_bits, len(bd.gs), len(bd.hs)))
+        # a looped vertex can only match a looped one
+        g_loops = sum(1 << i for i, v in enumerate(self.g_ids) if g.loops[v])
+        h_loops = sum(1 << i for i, u in enumerate(self.h_ids) if h.loops[u])
+        self.root_bds = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
 
         self.mapping: list[tuple[int, int | None]] = []
         self.match_count = 0
@@ -308,7 +305,7 @@ class _Engine:
         self.branches += 1
         self._tick -= 1
         if self._tick <= 0:
-            self._tick = self.check_interval
+            self._tick = _CHECK_INTERVAL
             if self.deadline is not None and perf_counter() >= self.deadline:
                 raise _Timeout
 
@@ -363,6 +360,8 @@ class _Engine:
                 cands ^= skipped
         use_val = self.use_val
         mapping = self.mapping
+        g_out = self.g_out[v]
+        g_in = self.g_in[v] if self.directed else 0
         while cands:
             ulow = cands & -cands
             cands ^= ulow
@@ -376,7 +375,11 @@ class _Engine:
             bds[best_i] = (gb, hb ^ ulow, gl, hl - 1)
             mapping.append((v, u))
             self.match_count = mc + 1
-            self._search(self._refine(bds, v, u))
+            child = _split(bds, g_out, self.h_out[u])
+            if self.directed:
+                # (out, in) buckets in the order 00, 01, 10, 11
+                child = _split(child, g_in, self.h_in[u])
+            self._search(child)
             mapping.pop()
         self.match_count = mc
 
@@ -388,58 +391,33 @@ class _Engine:
         self._search(bds)
         mapping.pop()
 
-    def _refine(self, bds, v, u):
-        new_bds = []
-        if not self.directed:
-            g_adj = self.g_out[v]
-            h_adj = self.h_out[u]
-            for gb, hb, _, _ in bds:
-                g1 = gb & g_adj
-                h1 = hb & h_adj
-                g0 = gb ^ g1
-                h0 = hb ^ h1
-                if g0 and h0:
-                    new_bds.append((g0, h0, g0.bit_count(), h0.bit_count()))
-                if g1 and h1:
-                    new_bds.append((g1, h1, g1.bit_count(), h1.bit_count()))
-        else:
-            g_o, g_i = self.g_out[v], self.g_in[v]
-            h_o, h_i = self.h_out[u], self.h_in[u]
-            for gb, hb, _, _ in bds:
-                g_out = gb & g_o
-                h_out = hb & h_o
-                g_none = gb ^ g_out
-                h_none = hb ^ h_out
-                g_in = g_none & g_i
-                h_in = h_none & h_i
-                g_none ^= g_in
-                h_none ^= h_in
-                g_both = g_out & g_i
-                h_both = h_out & h_i
-                g_out ^= g_both
-                h_out ^= h_both
-                # (out, in) buckets in the order 00, 01, 10, 11
-                if g_none and h_none:
-                    new_bds.append((g_none, h_none, g_none.bit_count(), h_none.bit_count()))
-                if g_in and h_in:
-                    new_bds.append((g_in, h_in, g_in.bit_count(), h_in.bit_count()))
-                if g_out and h_out:
-                    new_bds.append((g_out, h_out, g_out.bit_count(), h_out.bit_count()))
-                if g_both and h_both:
-                    new_bds.append((g_both, h_both, g_both.bit_count(), h_both.bit_count()))
-        return new_bds
+
+def _split(bds, g_row, h_row):
+    """Every bidomain halved by adjacency to one row per side.
+
+    The no-edge half comes first, and a half with an empty side is dropped:
+    none of its vertices can be matched any more.
+    """
+    out = []
+    for gb, hb, _, _ in bds:
+        g1 = gb & g_row
+        h1 = hb & h_row
+        g0 = gb ^ g1
+        h0 = hb ^ h1
+        if g0 and h0:
+            out.append((g0, h0, g0.bit_count(), h0.bit_count()))
+        if g1 and h1:
+            out.append((g1, h1, g1.bit_count(), h1.bit_count()))
+    return out
 
 
 def _relabel(rows: list[int], order: list[int], new_id: list[int]) -> list[int]:
     """Adjacency rows renumbered: row i is old vertex order[i], bits by new_id."""
     out = []
     for old in order:
-        bits = rows[old]
         row = 0
-        while bits:
-            low = bits & -bits
-            row |= 1 << new_id[low.bit_length() - 1]
-            bits ^= low
+        for w in _bits_to_list(rows[old]):
+            row |= 1 << new_id[w]
         out.append(row)
     return out
 

@@ -76,7 +76,7 @@ def test_run_instance_timeout_path(tmp_path):
     rng = random.Random(6)
     text = to_lad(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]))
     h = write(tmp_path / "b.lad", text)
-    rep = run_instance(g, h, SolverConfig(timeout=0.05, branch_check_interval=64))
+    rep = run_instance(g, h, SolverConfig(timeout=0.05))
     assert not rep.completed
     assert rep.incumbent_size >= 0
     assert rep.wall_time >= 0.05
@@ -259,6 +259,10 @@ def test_run_batch_records_failures_and_continues(tmp_path):
     assert len(rows) == 2
     assert rows[0]["error"] is not None
     assert rows[1]["error"] is None and rows[1]["incumbent_size"] == 3
+    assert list(rows[0]) == list(rows[1])
+    failed = {k: v for k, v in rows[0].items() if k not in ("instance", "config", "error")}
+    assert not any(failed.values())
+    assert failed["completed"] is False and failed["verified"] is False and failed["mapping"] == []
     assert summary["per_config"]["dual"]["errors"] == 1
 
 

@@ -46,8 +46,6 @@ def test_config_rejects_unknown_name():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(branch_check_interval=0)
-    with pytest.raises(ValueError):
         SolverConfig(timeout=-1.0)
 
 
@@ -359,7 +357,7 @@ def _dense_pair(n, seed):
 
 def test_timeout_returns_best_so_far():
     g, h = _dense_pair(40, 11)
-    sol = solve(g, h, SolverConfig(timeout=0.05, branch_check_interval=64))
+    sol = solve(g, h, SolverConfig(timeout=0.05))
     assert not sol.stats.completed
     assert sol.size == sol.stats.incumbent_size
     assert is_isomorphism(g, h, sol.mapping)
@@ -368,7 +366,7 @@ def test_timeout_returns_best_so_far():
 def test_timeout_is_respected_roughly():
     g, h = _dense_pair(35, 12)
     t0 = perf_counter()
-    sol = solve(g, h, SolverConfig(timeout=0.2, branch_check_interval=64))
+    sol = solve(g, h, SolverConfig(timeout=0.2))
     elapsed = perf_counter() - t0
     assert not sol.stats.completed
     assert elapsed < 5.0  # generous: the check interval bounds the overshoot
@@ -376,7 +374,7 @@ def test_timeout_is_respected_roughly():
 
 def test_zero_timeout_still_returns():
     g, h = _dense_pair(30, 13)
-    sol = solve(g, h, SolverConfig(timeout=0.0, branch_check_interval=1))
+    sol = solve(g, h, SolverConfig(timeout=0.0))
     assert not sol.stats.completed
     assert sol.stats.incumbent_size >= 0
 
