@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
@@ -86,7 +86,7 @@ def run_instance(
         str(instance_id),
         config.name,
         wall_time=wall,
-        **asdict(st),
+        **vars(st),
         sym_to_bound_ratio=100.0 * (st.var_sym_prunes + st.val_sym_prunes) / max(st.bound_prunes, 1),
         verified=is_isomorphism(g, h, sol.mapping),
         mapping=[[g.display_name(v), h.display_name(u)] for v, u in sol.mapping],
@@ -119,7 +119,7 @@ def _run_task(task) -> dict:
         report = run_instance(g_path, h_path, config, fmt, directed, loops, instance_id)
     except Exception as exc:  # recorded, the batch keeps going
         report = InstanceReport(str(instance_id), cfg_name, error=f"{type(exc).__name__}: {exc}")
-    return asdict(report)
+    return vars(report)
 
 
 def _curve_bounds(timeout: float) -> list[float]:

@@ -93,9 +93,7 @@ def _cmd_solve(args) -> int:
     report = run_instance(
         args.g_path, args.h_path, config, args.format, args.directed, args.loops
     )
-    from dataclasses import asdict
-
-    payload = asdict(report)
+    payload = vars(report)
     print(json.dumps(payload))
     if args.stats_json:
         with open(args.stats_json, "w") as f:

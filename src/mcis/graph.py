@@ -64,9 +64,8 @@ class Graph:
                 loops[a] = True
                 continue
             out[a] |= 1 << b
+            # undirected: inn is out, so this also stores b->a
             inn[b] |= 1 << a
-            if not directed:
-                out[b] |= 1 << a
         self.out_bits = out
         self.in_bits = inn
         self.loops = loops

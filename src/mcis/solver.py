@@ -27,11 +27,13 @@ rules, in every configuration. Keeping the two aligned means a skipped
 branch's surviving twin is always explored earlier in depth-first order,
 which in turn makes branch counts shrink monotonically as rules are added.
 
-Module layout: ``solve`` runs the search on bitsets (``_Engine``), and
-the engine calls none of the plain-list functions (``initial_partition``,
-``upper_bound``, ``select_*``, ``refine_partition``...). They spell the
-same decisions over vertex lists and are kept as the independent reference
-the tests hold the engine to, counter for counter and pair for pair.
+Module layout: ``solve`` relabels both graphs into bitset rows and runs
+the search as one nested function over them; the counters go straight
+into its ``SearchStats``. It calls none of the plain-list functions
+(``initial_partition``, ``upper_bound``, ``select_*``,
+``refine_partition``...). They spell the same decisions over vertex lists
+and are kept as the independent reference the tests hold the search to,
+counter for counter and pair for pair.
 """
 
 from __future__ import annotations
@@ -108,9 +110,6 @@ class Bidomain:
 
     gs: list[int]
     hs: list[int]
-
-
-Partition = list
 
 
 def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
@@ -239,159 +238,6 @@ class _Timeout(Exception):
     pass
 
 
-class _Engine:
-    """Bitset implementation of the search.
-
-    Both graphs are relabelled once, up front. G is relabelled by
-    (-degree, id), so the branching vertex of a bidomain is its lowest set
-    bit. H is relabelled by the value order, so a vertex's label is its
-    rank, and walking a bidomain's H bits upward yields the candidates in
-    value order. A bidomain is a ``(g_bits, h_bits, g_len, h_len)`` tuple,
-    and :func:`_split` is the one partition operation: it halves every
-    bidomain by one row per side. The root is the whole vertex sets split
-    by loop flag; a match splits by the out-rows of the pair and, for
-    directed graphs, then by the in-rows. Pairs are mapped back to the
-    original ids only when an incumbent is recorded.
-    """
-
-    def __init__(self, g, h, classes_g, classes_h, config, t0):
-        self.g_ids = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        rank = value_order_ranks(h, classes_h)
-        self.h_ids = sorted(range(h.n), key=rank.__getitem__)
-        g_new = [0] * g.n
-        for i, v in enumerate(self.g_ids):
-            g_new[v] = i
-        self.g_out = _relabel(g.out_bits, self.g_ids, g_new)
-        self.h_out = _relabel(h.out_bits, self.h_ids, rank)
-        self.directed = g.directed
-        if g.directed:
-            self.g_in = _relabel(g.in_bits, self.g_ids, g_new)
-            self.h_in = _relabel(h.in_bits, self.h_ids, rank)
-        self.gclass = [classes_g.class_id[v] for v in self.g_ids]
-        self.hclass = [classes_h.class_id[u] for u in self.h_ids]
-        self.g_peers = [len(classes_g.peers(v)) > 1 for v in self.g_ids]
-        self.bot_rank = h.n
-        self.use_var = config.var_sym
-        self.use_val = config.val_sym
-        self.t0 = t0
-        self.deadline = None if config.timeout is None else t0 + config.timeout
-        self._tick = 1
-
-        # a looped vertex can only match a looped one
-        g_loops = sum(1 << i for i, v in enumerate(self.g_ids) if g.loops[v])
-        h_loops = sum(1 << i for i, u in enumerate(self.h_ids) if h.loops[u])
-        self.root_bds = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
-
-        self.mapping: list[tuple[int, int | None]] = []
-        self.match_count = 0
-        self.best: list[tuple[int, int]] = []
-        self.best_size = 0
-        self.branches = 0
-        self.bound_prunes = 0
-        self.var_sym_prunes = 0
-        self.val_sym_prunes = 0
-        self.time_to_best = 0.0
-        self.branches_to_best = 0
-
-    def run(self) -> bool:
-        try:
-            self._search(self.root_bds)
-            return True
-        except _Timeout:
-            return False
-
-    def _search(self, bds):
-        # bds belongs to this call: no caller reads it after passing it here
-        self.branches += 1
-        self._tick -= 1
-        if self._tick <= 0:
-            self._tick = _CHECK_INTERVAL
-            if self.deadline is not None and perf_counter() >= self.deadline:
-                raise _Timeout
-
-        mc = self.match_count
-        if mc > self.best_size:
-            self.best_size = mc
-            g_ids = self.g_ids
-            h_ids = self.h_ids
-            self.best = [(g_ids[v], h_ids[u]) for v, u in self.mapping if u is not None]
-            self.time_to_best = perf_counter() - self.t0
-            self.branches_to_best = self.branches
-
-        bound = mc
-        for _, _, gl, hl in bds:
-            bound += gl if gl < hl else hl
-        if bound <= self.best_size:
-            self.bound_prunes += 1
-            return
-
-        best_i = 0
-        best_k = 1 << 60
-        for i, (_, _, gl, hl) in enumerate(bds):
-            k = gl if gl >= hl else hl
-            if k < best_k:
-                best_k = k
-                best_i = i
-        gb, hb, gl, hl = bds[best_i]
-        low = gb & -gb
-        v = low.bit_length() - 1
-        gb ^= low
-        gl -= 1
-
-        var_bound = -1
-        if self.use_var and self.g_peers[v]:
-            cls = self.gclass[v]
-            gclass = self.gclass
-            for pv, pu in self.mapping:
-                if gclass[pv] == cls:
-                    rk = self.bot_rank if pu is None else pu
-                    if rk > var_bound:
-                        var_bound = rk
-
-        hclass = self.hclass
-        prev_class = -1
-        cands = hb
-        if var_bound > 0:
-            # every candidate ranked below the bound loses to a swap
-            skipped = cands & ((1 << var_bound) - 1)
-            if skipped:
-                self.var_sym_prunes += skipped.bit_count()
-                prev_class = hclass[skipped.bit_length() - 1]
-                cands ^= skipped
-        use_val = self.use_val
-        mapping = self.mapping
-        g_out = self.g_out[v]
-        g_in = self.g_in[v] if self.directed else 0
-        while cands:
-            ulow = cands & -cands
-            cands ^= ulow
-            u = ulow.bit_length() - 1
-            ucls = hclass[u]
-            if use_val and ucls == prev_class:
-                # an interchangeable candidate was first in this bidomain
-                self.val_sym_prunes += 1
-                continue
-            prev_class = ucls
-            bds[best_i] = (gb, hb ^ ulow, gl, hl - 1)
-            mapping.append((v, u))
-            self.match_count = mc + 1
-            child = _split(bds, g_out, self.h_out[u])
-            if self.directed:
-                # (out, in) buckets in the order 00, 01, 10, 11
-                child = _split(child, g_in, self.h_in[u])
-            self._search(child)
-            mapping.pop()
-        self.match_count = mc
-
-        if gl == 0:
-            del bds[best_i]
-        else:
-            bds[best_i] = (gb, hb, gl, hl)
-        mapping.append((v, None))
-        self._search(bds)
-        mapping.pop()
-
-
 def _split(bds, g_row, h_row):
     """Every bidomain halved by adjacency to one row per side.
 
@@ -428,6 +274,17 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     Interchangeability classes for both graphs are computed here, inside the
     measured solve, and drive the two pruning rules when enabled. On timeout
     the incumbent found so far is returned with ``stats.completed`` false.
+
+    The search runs on bitsets. Both graphs are relabelled once, up front.
+    G is relabelled by (-degree, id), so the branching vertex of a bidomain
+    is its lowest set bit. H is relabelled by the value order, so a vertex's
+    label is its rank, and walking a bidomain's H bits upward yields the
+    candidates in value order. A bidomain is a ``(g_bits, h_bits, g_len,
+    h_len)`` tuple, and :func:`_split` is the one partition operation: it
+    halves every bidomain by one row per side. The root is the whole vertex
+    sets split by loop flag; a match splits by the out-rows of the pair and,
+    for directed graphs, then by the in-rows. Pairs are mapped back to the
+    original ids only when an incumbent is recorded.
     """
     if config is None:
         config = SolverConfig()
@@ -439,16 +296,127 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     t0 = perf_counter()
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
-    engine = _Engine(g, h, classes_g, classes_h, config, t0)
-    completed = engine.run()
-    stats = SearchStats(
-        branches=engine.branches,
-        bound_prunes=engine.bound_prunes,
-        var_sym_prunes=engine.var_sym_prunes,
-        val_sym_prunes=engine.val_sym_prunes,
-        incumbent_size=engine.best_size,
-        time_to_best=engine.time_to_best,
-        branches_to_best=engine.branches_to_best,
-        completed=completed,
-    )
-    return Solution(mapping=list(engine.best), stats=stats)
+
+    g_ids = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    rank = value_order_ranks(h, classes_h)
+    h_ids = sorted(range(h.n), key=rank.__getitem__)
+    g_new = [0] * g.n
+    for i, v in enumerate(g_ids):
+        g_new[v] = i
+    g_out = _relabel(g.out_bits, g_ids, g_new)
+    h_out = _relabel(h.out_bits, h_ids, rank)
+    directed = g.directed
+    if directed:
+        g_in = _relabel(g.in_bits, g_ids, g_new)
+        h_in = _relabel(h.in_bits, h_ids, rank)
+    gclass = [classes_g.class_id[v] for v in g_ids]
+    hclass = [classes_h.class_id[u] for u in h_ids]
+    g_peers = [len(classes_g.peers(v)) > 1 for v in g_ids]
+    bot_rank = h.n
+    use_var = config.var_sym
+    use_val = config.val_sym
+    deadline = None if config.timeout is None else t0 + config.timeout
+    tick = 1
+
+    # a looped vertex can only match a looped one
+    g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v])
+    h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u])
+    root = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
+
+    mapping: list[tuple[int, int | None]] = []
+    best: list[tuple[int, int]] = []
+    stats = SearchStats()
+
+    def search(bds, mc):
+        # bds belongs to this call: no caller reads it after passing it here;
+        # mc counts the pairs of mapping that are matched, not left unmatched
+        nonlocal tick, best
+        stats.branches += 1
+        tick -= 1
+        if tick <= 0:
+            tick = _CHECK_INTERVAL
+            if deadline is not None and perf_counter() >= deadline:
+                raise _Timeout
+
+        if mc > stats.incumbent_size:
+            stats.incumbent_size = mc
+            best = [(g_ids[v], h_ids[u]) for v, u in mapping if u is not None]
+            stats.time_to_best = perf_counter() - t0
+            stats.branches_to_best = stats.branches
+
+        bound = mc
+        for _, _, gl, hl in bds:
+            bound += gl if gl < hl else hl
+        if bound <= stats.incumbent_size:
+            stats.bound_prunes += 1
+            return
+
+        best_i = 0
+        best_k = 1 << 60
+        for i, (_, _, gl, hl) in enumerate(bds):
+            k = gl if gl >= hl else hl
+            if k < best_k:
+                best_k = k
+                best_i = i
+        gb, hb, gl, hl = bds[best_i]
+        low = gb & -gb
+        v = low.bit_length() - 1
+        gb ^= low
+        gl -= 1
+
+        var_bound = -1
+        if use_var and g_peers[v]:
+            cls = gclass[v]
+            for pv, pu in mapping:
+                if gclass[pv] == cls:
+                    rk = bot_rank if pu is None else pu
+                    if rk > var_bound:
+                        var_bound = rk
+
+        prev_class = -1
+        cands = hb
+        if var_bound > 0:
+            # every candidate ranked below the bound loses to a swap
+            skipped = cands & ((1 << var_bound) - 1)
+            if skipped:
+                stats.var_sym_prunes += skipped.bit_count()
+                prev_class = hclass[skipped.bit_length() - 1]
+                cands ^= skipped
+        v_out = g_out[v]
+        v_in = g_in[v] if directed else 0
+        while cands:
+            ulow = cands & -cands
+            cands ^= ulow
+            u = ulow.bit_length() - 1
+            ucls = hclass[u]
+            if use_val and ucls == prev_class:
+                # an interchangeable candidate was first in this bidomain
+                stats.val_sym_prunes += 1
+                continue
+            prev_class = ucls
+            bds[best_i] = (gb, hb ^ ulow, gl, hl - 1)
+            mapping.append((v, u))
+            child = _split(bds, v_out, h_out[u])
+            if directed:
+                # (out, in) buckets in the order 00, 01, 10, 11
+                child = _split(child, v_in, h_in[u])
+            search(child, mc + 1)
+            mapping.pop()
+
+        if gl == 0:
+            del bds[best_i]
+        else:
+            bds[best_i] = (gb, hb, gl, hl)
+        mapping.append((v, None))
+        search(bds, mc)
+        mapping.pop()
+
+    try:
+        search(root, 0)
+    except _Timeout:
+        stats.completed = False
+    finally:
+        # search holds itself through its closure cell; without this cycle
+        # refcounting frees the relabelled rows as soon as solve returns
+        del search
+    return Solution(best, stats)

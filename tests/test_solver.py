@@ -1,3 +1,4 @@
+import gc
 import random
 from time import perf_counter
 
@@ -377,6 +378,32 @@ def test_zero_timeout_still_returns():
     sol = solve(g, h, SolverConfig(timeout=0.0))
     assert not sol.stats.completed
     assert sol.stats.incumbent_size >= 0
+
+
+# -- resources ----------------------------------------------------------------
+
+
+def test_solve_leaves_no_reference_cycles():
+    # the search state is freed by refcounting, not left to the cyclic GC
+    gc.collect()
+    gc.disable()
+    try:
+        solve(graph_g(), graph_h())
+        assert gc.collect() == 0
+        g, h = _dense_pair(30, 13)
+        solve(g, h, SolverConfig(timeout=0.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_deep_path_solves():
+    # one Python frame per search level: a second one would overflow here
+    n = 600
+    p = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    sol = solve(p, p)
+    assert sol.stats.completed
+    assert sol.stats.incumbent_size == n
 
 
 # -- differential: engine versus plain-list reference --------------------------
