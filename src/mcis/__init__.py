@@ -10,31 +10,14 @@ from .graph import (
     to_edgelist,
     to_lad,
 )
-from .symmetry import (
-    NeighborhoodKey,
-    SymmetryClasses,
-    are_symmetric,
-    compute_symmetry_classes,
-    negative_neighborhood,
-    positive_neighborhood,
-    verify_swap_automorphism,
-)
+from .symmetry import SymmetryClasses, are_symmetric, compute_symmetry_classes
 from .solver import (
     CONFIG_NAMES,
-    Bidomain,
     SearchStats,
     Solution,
     SolverConfig,
-    initial_partition,
-    order_values,
-    refine_partition,
-    select_bidomain,
-    select_vertex,
     solve,
-    upper_bound,
-    val_sym_prunable,
     value_order_ranks,
-    var_sym_prunable,
 )
 from .oracle import OracleResult, brute_force_mcis
 from .bench import InstanceReport, aggregate_reports, run_batch, run_instance
@@ -50,27 +33,14 @@ __all__ = [
     "to_edgelist",
     "induced_subgraph",
     "is_isomorphism",
-    "NeighborhoodKey",
     "SymmetryClasses",
     "compute_symmetry_classes",
-    "negative_neighborhood",
-    "positive_neighborhood",
     "are_symmetric",
-    "verify_swap_automorphism",
-    "Bidomain",
     "SolverConfig",
     "SearchStats",
     "Solution",
     "CONFIG_NAMES",
     "solve",
-    "initial_partition",
-    "upper_bound",
-    "select_bidomain",
-    "select_vertex",
-    "order_values",
-    "var_sym_prunable",
-    "val_sym_prunable",
-    "refine_partition",
     "value_order_ranks",
     "OracleResult",
     "brute_force_mcis",

@@ -222,6 +222,8 @@ def run_batch(
     """
     if configs is None:
         configs = ["dual", "none"]
+    if not configs:
+        raise ValueError("at least one config is required")
     for c in configs:
         if c not in CONFIG_NAMES:
             raise ValueError(f"unknown config name {c!r}")

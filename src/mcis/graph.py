@@ -316,10 +316,13 @@ def is_isomorphism(g: Graph, h: Graph, mapping: Sequence[tuple[int, int | None]]
     """True iff the non-bottom pairs of ``mapping`` induce isomorphic subgraphs.
 
     Checks every vertex pair both ways for directed graphs, and requires
-    matched vertices to agree on their self-loop flag. ``None`` values mark
-    vertices deliberately left unmatched and are ignored.
+    matched vertices to agree on their self-loop flag and to be matched at
+    most once per side. ``None`` values mark vertices deliberately left
+    unmatched and are ignored.
     """
     pairs = [(v, u) for v, u in mapping if u is not None]
+    if len({v for v, _ in pairs}) < len(pairs) or len({u for _, u in pairs}) < len(pairs):
+        return False
     for v, u in pairs:
         if g.loops[v] != h.loops[u]:
             return False

@@ -29,16 +29,17 @@ which in turn makes branch counts shrink monotonically as rules are added.
 
 Module layout: ``solve`` relabels both graphs into bitset rows and runs
 the search as one nested function over them; the counters go straight
-into its ``SearchStats``. It calls none of the plain-list functions
-(``initial_partition``, ``upper_bound``, ``select_*``,
-``refine_partition``...). They spell the same decisions over vertex lists
-and are kept as the independent reference the tests hold the search to,
-counter for counter and pair for pair.
+into its ``SearchStats``. The choice of bidomain and vertex, the bound
+and both pruning rules are spelled inline in that function, and ``_split``
+is its one partition operation. The same decisions over plain vertex
+lists, as McSplit writes them, live in ``tests/reference.py``: they are
+the independent reference the tests hold the search to, counter for
+counter and pair for pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from .graph import Graph, _bits_to_list
@@ -65,7 +66,8 @@ class SolverConfig:
     timeout: float | None = None
 
     def __post_init__(self):
-        if self.timeout is not None and self.timeout < 0:
+        # written so that NaN fails too: it compares false with everything
+        if self.timeout is not None and not self.timeout >= 0:
             raise ValueError("timeout must be non-negative")
 
     @classmethod
@@ -104,14 +106,6 @@ class Solution:
         return len(self.mapping)
 
 
-@dataclass
-class Bidomain:
-    """Unmatched vertices with one shared adjacency pattern, per side."""
-
-    gs: list[int]
-    hs: list[int]
-
-
 def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     """Position of each H-vertex in the fixed value order.
 
@@ -125,113 +119,6 @@ def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     for i, u in enumerate(order):
         ranks[u] = i
     return ranks
-
-
-def initial_partition(g: Graph, h: Graph) -> list[Bidomain]:
-    """Starting partition: everything matchable, split only by loop flag.
-
-    A vertex with a self-loop can never map to one without, so the two
-    groups start in separate bidomains. This is the only point where the
-    solver consults loop flags; refinement preserves the separation.
-    """
-    parts = []
-    for want_loop in (False, True):
-        gs = [v for v in range(g.n) if g.loops[v] == want_loop]
-        hs = [u for u in range(h.n) if h.loops[u] == want_loop]
-        if gs and hs:
-            parts.append(Bidomain(gs, hs))
-    return parts
-
-
-def upper_bound(mapping: list[tuple[int, int | None]], partition: list[Bidomain]) -> int:
-    """Matched pairs so far plus min(side sizes) over the bidomains."""
-    matched = sum(1 for _, u in mapping if u is not None)
-    return matched + sum(min(len(bd.gs), len(bd.hs)) for bd in partition)
-
-
-def select_bidomain(partition: list[Bidomain]) -> int:
-    """Index of the bidomain with the smallest larger side; first wins ties."""
-    if not partition:
-        raise ValueError("cannot select from an empty partition")
-    return min(range(len(partition)), key=lambda i: max(len(partition[i].gs), len(partition[i].hs)))
-
-
-def select_vertex(bd: Bidomain, g: Graph) -> int:
-    """Branching vertex: maximum degree in G, ties to the lowest id."""
-    return max(bd.gs, key=lambda v: (g.degree(v), -v))
-
-
-def order_values(bd: Bidomain, h: Graph, classes_h: SymmetryClasses) -> list[int]:
-    """Candidate values of the bidomain in the fixed value order."""
-    return sorted(bd.hs, key=lambda u: (-h.degree(u), classes_h.class_id[u], u))
-
-
-def var_sym_prunable(
-    mapping: list[tuple[int, int | None]],
-    v: int,
-    u: int | None,
-    classes_g: SymmetryClasses,
-    value_rank: list[int],
-) -> bool:
-    """Candidate (v, u) loses to a swap with an earlier interchangeable pair.
-
-    True iff some (v', u') in the mapping has v' interchangeable with v and
-    u strictly smaller than u' in the value order (None largest): exchanging
-    the two values would give an equivalent branch that sorts earlier.
-    """
-    cid = classes_g.class_id[v]
-    if len(classes_g.class_members[cid]) < 2:
-        return False
-    bot = len(value_rank)
-    ur = bot if u is None else value_rank[u]
-    for pv, pu in mapping:
-        if pv != v and classes_g.class_id[pv] == cid:
-            if ur < (bot if pu is None else value_rank[pu]):
-                return True
-    return False
-
-
-def val_sym_prunable(bd: Bidomain, u: int, classes_h: SymmetryClasses) -> bool:
-    """An interchangeable candidate earlier in the value order is still here.
-
-    Interchangeable vertices share degree and class id, so among them the
-    value order reduces to vertex id.
-    """
-    cid = classes_h.class_id[u]
-    if len(classes_h.class_members[cid]) < 2:
-        return False
-    return any(w != u and w < u and classes_h.class_id[w] == cid for w in bd.hs)
-
-
-def refine_partition(
-    partition: list[Bidomain], v: int, u: int, g: Graph, h: Graph
-) -> list[Bidomain]:
-    """Split every bidomain by adjacency to the new pair (v, u).
-
-    Expects v and u to have been removed from their bidomain already. For
-    directed graphs each side splits four ways, keyed by the (outgoing,
-    incoming) edge pattern; children with an empty side are dropped. Bucket
-    order (no-edge first) fixes the indices later selections depend on.
-    """
-    out = []
-    nbuckets = 4 if g.directed else 2
-    for bd in partition:
-        gb: list[list[int]] = [[] for _ in range(nbuckets)]
-        hb: list[list[int]] = [[] for _ in range(nbuckets)]
-        for w in bd.gs:
-            gb[_bucket(g, v, w)].append(w)
-        for y in bd.hs:
-            hb[_bucket(h, u, y)].append(y)
-        for k in range(nbuckets):
-            if gb[k] and hb[k]:
-                out.append(Bidomain(gb[k], hb[k]))
-    return out
-
-
-def _bucket(g: Graph, v: int, w: int) -> int:
-    if not g.directed:
-        return (g.out_bits[v] >> w) & 1
-    return (((g.out_bits[v] >> w) & 1) << 1) | ((g.in_bits[v] >> w) & 1)
 
 
 class _Timeout(Exception):

@@ -15,68 +15,24 @@ Detection groups vertices on int triples taken straight from the bitset
 rows: ``(out_bits[v], in_bits[v], loops[v])`` for the open neighborhood and
 ``(out_bits[v] | 1 << v, in_bits[v] | 1 << v, loops[v])`` for the closed one.
 Two vertices have equal triples exactly when their canonical tuple keys
-(``negative_neighborhood`` / ``positive_neighborhood``, the readable
-definition kept for display and tests) are equal, so the partition is the
-same. The cost is O(n) Python steps plus hashing and comparing n-bit ints:
+(sorted neighbor ids, with a sentinel for a self-loop) are equal, so the
+partition is the same. Those tuple keys are the readable definition. They
+live in ``tests/reference.py``, beside a direct check that swapping two
+vertices maps the edge set onto itself, as the oracles the tests hold this
+grouping to. The cost is O(n) Python steps plus hashing and comparing n-bit ints:
 about n^2 / 30 big-int digit operations in all (CPython stores 30 bits per
 digit), whatever the edge count.
-
-In the tuple keys, self-loops are encoded by appending a reserved sentinel
-id (``n``, one past the largest vertex id); for directed graphs a key holds
-the pair of in- and out-neighbor tuples and the sentinel joins both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .graph import Graph
 
 NEGATIVE = "negative"
 POSITIVE = "positive"
 SINGLETON = "singleton"
-
-
-class NeighborhoodKey(NamedTuple):
-    """Canonical neighborhood of one vertex, comparable across vertices.
-
-    For undirected graphs ``in_members`` and ``out_members`` are identical.
-    The kind tag participates in equality and hashing, so negative keys can
-    never collide with positive ones.
-    """
-
-    kind: str
-    in_members: tuple[int, ...]
-    out_members: tuple[int, ...]
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.out_members
-
-
-def _neighborhood_key(g: Graph, v: int, kind: str) -> NeighborhoodKey:
-    sentinel = g.n
-    ins = g.in_neighbors(v)
-    outs = g.neighbors(v) if g.directed else ins
-    if kind == POSITIVE:
-        ins = sorted(ins + [v])
-        outs = sorted(outs + [v]) if g.directed else ins
-    if g.loops[v]:
-        # the sentinel joins both directions so a loop stays a single marker
-        ins = ins + [sentinel]
-        outs = outs + [sentinel] if g.directed else ins
-    return NeighborhoodKey(kind, tuple(ins), tuple(outs))
-
-
-def negative_neighborhood(g: Graph, v: int) -> NeighborhoodKey:
-    """Open-neighborhood key of v (the vertex itself excluded)."""
-    return _neighborhood_key(g, v, NEGATIVE)
-
-
-def positive_neighborhood(g: Graph, v: int) -> NeighborhoodKey:
-    """Closed-neighborhood key of v (the vertex itself included)."""
-    return _neighborhood_key(g, v, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -158,24 +114,3 @@ def are_symmetric(classes: SymmetryClasses, u: int, v: int) -> bool:
     if u == v:
         return False
     return classes.class_id[u] == classes.class_id[v]
-
-
-def verify_swap_automorphism(g: Graph, u: int, v: int) -> bool:
-    """Check directly that transposing u and v maps the edge set onto itself.
-
-    Independent of the key-based detection; used to cross-validate it.
-    """
-    if u == v:
-        raise ValueError("swap requires two distinct vertices")
-    if g.loops[u] != g.loops[v]:
-        return False
-    mask = ~((1 << u) | (1 << v))
-    if (g.out_bits[u] & mask) != (g.out_bits[v] & mask):
-        return False
-    if g.directed:
-        if (g.in_bits[u] & mask) != (g.in_bits[v] & mask):
-            return False
-        # the u-v edges themselves swap places
-        if g.has_edge(u, v) != g.has_edge(v, u):
-            return False
-    return True

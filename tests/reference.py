@@ -1,31 +1,211 @@
-"""Reference search and instrumented tree walks built on the public ops.
+"""The independent oracles the tests hold the package to.
 
-``reference_solve`` repeats every decision of the production engine using
-the plain-list partition functions; differential tests hold the two to
-identical counters. ``enumerate_tree`` walks the complete unpruned search
-tree of tiny instances, reporting each node's bound and each terminal
-branch together with whether either pruning rule would have fired on it.
-``reference_classes`` groups vertices by the definitional tuple keys, the
-oracle for the bitset-row grouping of ``compute_symmetry_classes``.
+Plain-list search: ``Bidomain`` through ``refine_partition`` spell every
+decision of ``mcis.solve`` over vertex lists, as McSplit writes its
+bidomain search (McCreesh, Prosser and Trimble, IJCAI 2017).
+``reference_solve`` runs them as one search; differential tests hold it
+and the bitset engine to identical counters. ``enumerate_tree`` walks the
+complete unpruned search tree of tiny instances, reporting each node's
+bound and each terminal branch together with whether either pruning rule
+would have fired on it.
+
+Tuple keys: ``negative_neighborhood`` / ``positive_neighborhood`` are the
+readable definition of interchangeability, as sorted neighbor ids. A
+self-loop appends a reserved sentinel id (``n``, one past the largest
+vertex id); for directed graphs a key holds the pair of in- and
+out-neighbor tuples, with the sentinel on both sides.
+``reference_classes`` groups vertices by these keys, the oracle for the
+bitset-row grouping of ``compute_symmetry_classes``.
+``verify_swap_automorphism`` checks a transposition against the edge set
+directly.
 """
 
 from __future__ import annotations
 
-from mcis import (
-    Bidomain,
-    compute_symmetry_classes,
-    initial_partition,
-    negative_neighborhood,
-    order_values,
-    positive_neighborhood,
-    refine_partition,
-    select_bidomain,
-    select_vertex,
-    upper_bound,
-    val_sym_prunable,
-    value_order_ranks,
-    var_sym_prunable,
-)
+from dataclasses import dataclass
+from typing import NamedTuple
+
+from mcis import Graph, SymmetryClasses, compute_symmetry_classes, value_order_ranks
+from mcis.symmetry import NEGATIVE, POSITIVE
+
+
+@dataclass
+class Bidomain:
+    """Unmatched vertices with one shared adjacency pattern, per side."""
+
+    gs: list[int]
+    hs: list[int]
+
+
+def initial_partition(g: Graph, h: Graph) -> list[Bidomain]:
+    """Starting partition: everything matchable, split only by loop flag.
+
+    A vertex with a self-loop can never map to one without, so the two
+    groups start in separate bidomains. This is the only point where the
+    solver consults loop flags; refinement preserves the separation.
+    """
+    parts = []
+    for want_loop in (False, True):
+        gs = [v for v in range(g.n) if g.loops[v] == want_loop]
+        hs = [u for u in range(h.n) if h.loops[u] == want_loop]
+        if gs and hs:
+            parts.append(Bidomain(gs, hs))
+    return parts
+
+
+def upper_bound(mapping: list[tuple[int, int | None]], partition: list[Bidomain]) -> int:
+    """Matched pairs so far plus min(side sizes) over the bidomains."""
+    matched = sum(1 for _, u in mapping if u is not None)
+    return matched + sum(min(len(bd.gs), len(bd.hs)) for bd in partition)
+
+
+def select_bidomain(partition: list[Bidomain]) -> int:
+    """Index of the bidomain with the smallest larger side; first wins ties."""
+    if not partition:
+        raise ValueError("cannot select from an empty partition")
+    return min(range(len(partition)), key=lambda i: max(len(partition[i].gs), len(partition[i].hs)))
+
+
+def select_vertex(bd: Bidomain, g: Graph) -> int:
+    """Branching vertex: maximum degree in G, ties to the lowest id."""
+    return max(bd.gs, key=lambda v: (g.degree(v), -v))
+
+
+def order_values(bd: Bidomain, h: Graph, classes_h: SymmetryClasses) -> list[int]:
+    """Candidate values of the bidomain in the fixed value order."""
+    return sorted(bd.hs, key=lambda u: (-h.degree(u), classes_h.class_id[u], u))
+
+
+def var_sym_prunable(
+    mapping: list[tuple[int, int | None]],
+    v: int,
+    u: int | None,
+    classes_g: SymmetryClasses,
+    value_rank: list[int],
+) -> bool:
+    """Candidate (v, u) loses to a swap with an earlier interchangeable pair.
+
+    True iff some (v', u') in the mapping has v' interchangeable with v and
+    u strictly smaller than u' in the value order (None largest): exchanging
+    the two values would give an equivalent branch that sorts earlier.
+    """
+    cid = classes_g.class_id[v]
+    if len(classes_g.class_members[cid]) < 2:
+        return False
+    bot = len(value_rank)
+    ur = bot if u is None else value_rank[u]
+    for pv, pu in mapping:
+        if pv != v and classes_g.class_id[pv] == cid:
+            if ur < (bot if pu is None else value_rank[pu]):
+                return True
+    return False
+
+
+def val_sym_prunable(bd: Bidomain, u: int, classes_h: SymmetryClasses) -> bool:
+    """An interchangeable candidate earlier in the value order is still here.
+
+    Interchangeable vertices share degree and class id, so among them the
+    value order reduces to vertex id.
+    """
+    cid = classes_h.class_id[u]
+    if len(classes_h.class_members[cid]) < 2:
+        return False
+    return any(w != u and w < u and classes_h.class_id[w] == cid for w in bd.hs)
+
+
+def refine_partition(
+    partition: list[Bidomain], v: int, u: int, g: Graph, h: Graph
+) -> list[Bidomain]:
+    """Split every bidomain by adjacency to the new pair (v, u).
+
+    Expects v and u to have been removed from their bidomain already. For
+    directed graphs each side splits four ways, keyed by the (outgoing,
+    incoming) edge pattern; children with an empty side are dropped. Bucket
+    order (no-edge first) fixes the indices later selections depend on.
+    """
+    out = []
+    nbuckets = 4 if g.directed else 2
+    for bd in partition:
+        gb: list[list[int]] = [[] for _ in range(nbuckets)]
+        hb: list[list[int]] = [[] for _ in range(nbuckets)]
+        for w in bd.gs:
+            gb[_bucket(g, v, w)].append(w)
+        for y in bd.hs:
+            hb[_bucket(h, u, y)].append(y)
+        for k in range(nbuckets):
+            if gb[k] and hb[k]:
+                out.append(Bidomain(gb[k], hb[k]))
+    return out
+
+
+def _bucket(g: Graph, v: int, w: int) -> int:
+    if not g.directed:
+        return (g.out_bits[v] >> w) & 1
+    return (((g.out_bits[v] >> w) & 1) << 1) | ((g.in_bits[v] >> w) & 1)
+
+
+class NeighborhoodKey(NamedTuple):
+    """Canonical neighborhood of one vertex, comparable across vertices.
+
+    For undirected graphs ``in_members`` and ``out_members`` are identical.
+    The kind tag participates in equality and hashing, so negative keys can
+    never collide with positive ones.
+    """
+
+    kind: str
+    in_members: tuple[int, ...]
+    out_members: tuple[int, ...]
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return self.out_members
+
+
+def _neighborhood_key(g: Graph, v: int, kind: str) -> NeighborhoodKey:
+    sentinel = g.n
+    ins = g.in_neighbors(v)
+    outs = g.neighbors(v) if g.directed else ins
+    if kind == POSITIVE:
+        ins = sorted(ins + [v])
+        outs = sorted(outs + [v]) if g.directed else ins
+    if g.loops[v]:
+        # the sentinel joins both directions so a loop stays a single marker
+        ins = ins + [sentinel]
+        outs = outs + [sentinel] if g.directed else ins
+    return NeighborhoodKey(kind, tuple(ins), tuple(outs))
+
+
+def negative_neighborhood(g: Graph, v: int) -> NeighborhoodKey:
+    """Open-neighborhood key of v (the vertex itself excluded)."""
+    return _neighborhood_key(g, v, NEGATIVE)
+
+
+def positive_neighborhood(g: Graph, v: int) -> NeighborhoodKey:
+    """Closed-neighborhood key of v (the vertex itself included)."""
+    return _neighborhood_key(g, v, POSITIVE)
+
+
+
+
+def verify_swap_automorphism(g: Graph, u: int, v: int) -> bool:
+    """Check directly that transposing u and v maps the edge set onto itself.
+
+    Independent of the key-based detection; used to cross-validate it.
+    """
+    if u == v:
+        raise ValueError("swap requires two distinct vertices")
+    if g.loops[u] != g.loops[v]:
+        return False
+    mask = ~((1 << u) | (1 << v))
+    if (g.out_bits[u] & mask) != (g.out_bits[v] & mask):
+        return False
+    if g.directed:
+        if (g.in_bits[u] & mask) != (g.in_bits[v] & mask):
+            return False
+        # the u-v edges themselves swap places
+        if g.has_edge(u, v) != g.has_edge(v, u):
+            return False
+    return True
 
 
 def _without(partition, i, v, u):

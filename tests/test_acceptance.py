@@ -16,7 +16,13 @@ from collections import deque
 from conftest import run_corpus
 from corpus import random_graph
 from known_instance import G_CLASSES, H_CLASSES, OPTIMUM, graph_g, graph_h
-from reference import enumerate_tree, reference_classes
+from reference import (
+    enumerate_tree,
+    negative_neighborhood,
+    positive_neighborhood,
+    reference_classes,
+    verify_swap_automorphism,
+)
 
 from mcis import (
     CONFIG_NAMES,
@@ -25,11 +31,8 @@ from mcis import (
     are_symmetric,
     brute_force_mcis,
     compute_symmetry_classes,
-    negative_neighborhood,
-    positive_neighborhood,
     solve,
     value_order_ranks,
-    verify_swap_automorphism,
 )
 
 

@@ -290,3 +290,10 @@ def test_run_batch_rejects_unknown_config(tmp_path):
     man = write(tmp_path / "m.txt", "")
     with pytest.raises(ValueError, match="unknown config"):
         run_batch(man, configs=["fancy"], jobs=1, out_dir=tmp_path / "o")
+
+
+def test_run_batch_rejects_empty_config_list(tmp_path):
+    man = write(tmp_path / "m.txt", "")
+    with pytest.raises(ValueError, match="at least one config"):
+        run_batch(man, configs=[], jobs=1, out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()

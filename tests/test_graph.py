@@ -290,6 +290,11 @@ def test_is_isomorphism_ignores_unmatched_pairs():
     assert is_isomorphism(g, h, [(0, 0), (1, None)])
 
 
+def test_is_isomorphism_rejects_repeated_vertices():
+    assert not is_isomorphism(Graph(2), Graph(1), [(0, 0), (1, 0)])
+    assert not is_isomorphism(Graph(1), Graph(2), [(0, 0), (0, 1)])
+
+
 @given(graphs(loops=True), st.randoms(use_true_random=False))
 def test_induced_relabelling_is_isomorphism(g, rng):
     vs = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))

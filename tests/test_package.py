@@ -1,0 +1,37 @@
+import mcis
+
+PUBLIC_NAMES = [
+    "CONFIG_NAMES",
+    "Graph",
+    "GraphParseError",
+    "InstanceReport",
+    "OracleResult",
+    "SearchStats",
+    "Solution",
+    "SolverConfig",
+    "SymmetryClasses",
+    "aggregate_reports",
+    "are_symmetric",
+    "brute_force_mcis",
+    "compute_symmetry_classes",
+    "induced_subgraph",
+    "is_isomorphism",
+    "parse_edgelist",
+    "parse_lad",
+    "run_batch",
+    "run_instance",
+    "solve",
+    "to_edgelist",
+    "to_lad",
+    "value_order_ranks",
+]
+
+
+def test_public_names_are_the_product_surface():
+    # test-only oracles live in tests/reference.py, not in the package
+    assert sorted(mcis.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in mcis.__all__:
+        assert getattr(mcis, name) is not None

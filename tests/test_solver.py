@@ -7,25 +7,27 @@ import pytest
 from corpus import corpus_pairs
 from known_instance import BRANCHES, OPTIMUM, graph_g, graph_h
 from mcis import (
-    Bidomain,
     CONFIG_NAMES,
     Graph,
     SolverConfig,
     brute_force_mcis,
     compute_symmetry_classes,
-    initial_partition,
     is_isomorphism,
+    solve,
+    value_order_ranks,
+)
+from reference import (
+    Bidomain,
+    initial_partition,
     order_values,
+    reference_solve,
     refine_partition,
     select_bidomain,
     select_vertex,
-    solve,
     upper_bound,
     val_sym_prunable,
-    value_order_ranks,
     var_sym_prunable,
 )
-from reference import reference_solve
 
 
 def k(n):
@@ -48,6 +50,8 @@ def test_config_rejects_unknown_name():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(timeout=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(timeout=float("nan"))
 
 
 # -- bound -------------------------------------------------------------------

@@ -2,15 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from known_instance import G_CLASSES, H_CLASSES, graph_g, graph_h
-from reference import reference_classes
-from mcis import (
-    Graph,
-    are_symmetric,
-    compute_symmetry_classes,
+from reference import (
     negative_neighborhood,
     positive_neighborhood,
+    reference_classes,
     verify_swap_automorphism,
 )
+from mcis import Graph, are_symmetric, compute_symmetry_classes
 
 
 @st.composite
