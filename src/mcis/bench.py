@@ -20,7 +20,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .graph import Graph, is_isomorphism, parse_edgelist, parse_lad
-from .solver import CONFIG_NAMES, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 FORMATS = ("lad", "edgelist")
 
@@ -113,12 +113,11 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
 
 
 def _run_task(task) -> dict:
-    g_path, h_path, cfg_name, timeout, fmt, directed, loops, instance_id = task
-    config = SolverConfig.from_name(cfg_name, timeout=timeout)
+    g_path, h_path, config, fmt, directed, loops, instance_id = task
     try:
         report = run_instance(g_path, h_path, config, fmt, directed, loops, instance_id)
     except Exception as exc:  # recorded, the batch keeps going
-        report = InstanceReport(str(instance_id), cfg_name, error=f"{type(exc).__name__}: {exc}")
+        report = InstanceReport(str(instance_id), config.name, error=f"{type(exc).__name__}: {exc}")
     return vars(report)
 
 
@@ -224,17 +223,16 @@ def run_batch(
         configs = ["dual", "none"]
     if not configs:
         raise ValueError("at least one config is required")
-    for c in configs:
-        if c not in CONFIG_NAMES:
-            raise ValueError(f"unknown config name {c!r}")
+    # built before anything is written, so a bad name or timeout writes nothing
+    solver_configs = [SolverConfig.from_name(c, timeout=timeout) for c in configs]
     if jobs is None:
         jobs = os.cpu_count() or 1
 
     pairs = read_manifest(manifest_path)
     tasks = []
     for i, (g_path, h_path) in enumerate(pairs):
-        for cfg_name in configs:
-            tasks.append((g_path, h_path, cfg_name, timeout, fmt, directed, loops, f"{i:04d}:{Path(g_path).name}:{Path(h_path).name}"))
+        for config in solver_configs:
+            tasks.append((g_path, h_path, config, fmt, directed, loops, f"{i:04d}:{Path(g_path).name}:{Path(h_path).name}"))
 
     if jobs <= 1 or len(tasks) <= 1:
         reports = [_run_task(t) for t in tasks]

@@ -130,6 +130,8 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_witnesses < 0:
+        raise ValueError("--max-witnesses must be non-negative")
     g = load_graph(args.g_path, args.format, args.directed, args.loops)
     h = load_graph(args.h_path, args.format, args.directed, args.loops)
     result = brute_force_mcis(g, h)

@@ -38,20 +38,23 @@ def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP)
         raise ValueError(f"oracle accepts at most {MAX_ORACLE_N} vertices per graph")
     if g.directed != h.directed:
         raise ValueError("graphs must agree on directedness")
+    if witness_cap < 0:
+        raise ValueError("witness_cap must be non-negative")
 
     for k in range(min(g.n, h.n), 0, -1):
         witnesses: list[tuple[tuple[int, int], ...]] = []
-        capped = False
+        # counted apart from the witnesses kept: a size with mappings but
+        # none stored (cap 0) is still the optimum
+        found = 0
         for subset in combinations(range(g.n), k):
             for image in _consistent_images(g, h, subset):
                 mapping = tuple(zip(subset, image))
                 assert is_isomorphism(g, h, mapping)
+                found += 1
                 if len(witnesses) < witness_cap:
                     witnesses.append(mapping)
-                else:
-                    capped = True
-        if witnesses:
-            return OracleResult(k, witnesses, capped)
+        if found:
+            return OracleResult(k, witnesses, found > len(witnesses))
     return OracleResult(0, [()], False)
 
 

@@ -6,7 +6,7 @@ whose adjacency pattern towards the already-matched pairs is identical, so
 any vertex on the left side may still be matched to any vertex on the right
 side. Matching v to u splits every bidomain by adjacency to v and u;
 deciding to leave v unmatched (recorded as the pair ``(v, None)``) removes v
-and recurses on the rest. The incumbent is the best mapping seen so far and
+and searches the rest. The incumbent is the best mapping seen so far and
 a branch is abandoned whenever matched-count plus the sum of min(side sizes)
 cannot beat it.
 
@@ -28,12 +28,12 @@ branch's surviving twin is always explored earlier in depth-first order,
 which in turn makes branch counts shrink monotonically as rules are added.
 
 Module layout: ``solve`` relabels both graphs into bitset rows and runs
-the search as one nested function over them; the counters go straight
-into its ``SearchStats``. The choice of bidomain and vertex, the bound
-and both pruning rules are spelled inline in that function, and ``_split``
-is its one partition operation. The same decisions over plain vertex
-lists, as McSplit writes them, live in ``tests/reference.py``: they are
-the independent reference the tests hold the search to, counter for
+the search as one loop over a stack of pending nodes; the counters go
+straight into its ``SearchStats``. The choice of bidomain and vertex, the
+bound and both pruning rules are spelled inline in that loop, and
+``_split`` is its one partition operation. The same decisions over plain
+vertex lists, as McSplit writes them, live in ``tests/reference.py``: they
+are the independent reference the tests hold the search to, counter for
 counter and pair for pair.
 """
 
@@ -121,10 +121,6 @@ def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     return ranks
 
 
-class _Timeout(Exception):
-    pass
-
-
 def _split(bds, g_row, h_row):
     """Every bidomain halved by adjacency to one row per side.
 
@@ -172,6 +168,12 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     sets split by loop flag; a match splits by the out-rows of the pair and,
     for directed graphs, then by the in-rows. Pairs are mapped back to the
     original ids only when an incumbent is recorded.
+
+    The search pops pending nodes off a stack, so memory, not the recursion
+    limit, bounds its depth. An entry holds a node's bidomains, matched
+    count, path length above it and the pair leading to it. A node pushes
+    its unmatched child, then its candidates from the top rank down, so they
+    pop in value order with the unmatched child last, as the counters expect.
     """
     if config is None:
         config = SolverConfig()
@@ -213,30 +215,37 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     mapping: list[tuple[int, int | None]] = []
     best: list[tuple[int, int]] = []
     stats = SearchStats()
+    # pending nodes: (bidomains, matched count, path length above, pair)
+    stack = [(root, 0, 0, None)]
 
-    def search(bds, mc):
-        # bds belongs to this call: no caller reads it after passing it here;
-        # mc counts the pairs of mapping that are matched, not left unmatched
-        nonlocal tick, best
+    while stack:
+        bds, mc, depth, pair = stack.pop()
         stats.branches += 1
         tick -= 1
         if tick <= 0:
             tick = _CHECK_INTERVAL
             if deadline is not None and perf_counter() >= deadline:
-                raise _Timeout
-
-        if mc > stats.incumbent_size:
-            stats.incumbent_size = mc
-            best = [(g_ids[v], h_ids[u]) for v, u in mapping if u is not None]
-            stats.time_to_best = perf_counter() - t0
-            stats.branches_to_best = stats.branches
+                stats.completed = False
+                break
 
         bound = mc
         for _, _, gl, hl in bds:
             bound += gl if gl < hl else hl
+        if bound > stats.incumbent_size:
+            # only a node the bound keeps reads the path, and a new
+            # incumbent is such a node, since mc <= bound
+            del mapping[depth:]
+            if pair is not None:
+                mapping.append(pair)
+            if mc > stats.incumbent_size:
+                stats.incumbent_size = mc
+                best = [(g_ids[v], h_ids[u]) for v, u in mapping if u is not None]
+                stats.time_to_best = perf_counter() - t0
+                stats.branches_to_best = stats.branches
         if bound <= stats.incumbent_size:
             stats.bound_prunes += 1
-            return
+            continue
+        path_len = len(mapping)
 
         best_i = 0
         best_k = 1 << 60
@@ -260,6 +269,14 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                     if rk > var_bound:
                         var_bound = rk
 
+        # the unmatched child goes below its siblings, so it pops last
+        rest = bds.copy()
+        if gl == 0:
+            del rest[best_i]
+        else:
+            rest[best_i] = (gb, hb, gl, hl)
+        stack.append((rest, mc, path_len, (v, None)))
+
         prev_class = -1
         cands = hb
         if var_bound > 0:
@@ -271,39 +288,21 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 cands ^= skipped
         v_out = g_out[v]
         v_in = g_in[v] if directed else 0
+        # from the top rank down: the next lower candidate (or the var seed)
+        # is the one visited just before this one
         while cands:
-            ulow = cands & -cands
-            cands ^= ulow
-            u = ulow.bit_length() - 1
-            ucls = hclass[u]
-            if use_val and ucls == prev_class:
-                # an interchangeable candidate was first in this bidomain
+            u = cands.bit_length() - 1
+            ubit = 1 << u
+            cands ^= ubit
+            if use_val and hclass[u] == (hclass[cands.bit_length() - 1] if cands else prev_class):
+                # an interchangeable candidate comes first in this bidomain
                 stats.val_sym_prunes += 1
                 continue
-            prev_class = ucls
-            bds[best_i] = (gb, hb ^ ulow, gl, hl - 1)
-            mapping.append((v, u))
+            bds[best_i] = (gb, hb ^ ubit, gl, hl - 1)
             child = _split(bds, v_out, h_out[u])
             if directed:
                 # (out, in) buckets in the order 00, 01, 10, 11
                 child = _split(child, v_in, h_in[u])
-            search(child, mc + 1)
-            mapping.pop()
+            stack.append((child, mc + 1, path_len, (v, u)))
 
-        if gl == 0:
-            del bds[best_i]
-        else:
-            bds[best_i] = (gb, hb, gl, hl)
-        mapping.append((v, None))
-        search(bds, mc)
-        mapping.pop()
-
-    try:
-        search(root, 0)
-    except _Timeout:
-        stats.completed = False
-    finally:
-        # search holds itself through its closure cell; without this cycle
-        # refcounting frees the relabelled rows as soon as solve returns
-        del search
     return Solution(best, stats)

@@ -297,3 +297,10 @@ def test_run_batch_rejects_empty_config_list(tmp_path):
     with pytest.raises(ValueError, match="at least one config"):
         run_batch(man, configs=[], jobs=1, out_dir=tmp_path / "o")
     assert not (tmp_path / "o").exists()
+
+
+def test_run_batch_rejects_nan_timeout(tmp_path):
+    man = write(tmp_path / "m.txt", "")
+    with pytest.raises(ValueError, match="timeout"):
+        run_batch(man, configs=["dual"], jobs=1, out_dir=tmp_path / "o", timeout=float("nan"))
+    assert not (tmp_path / "o").exists()

@@ -123,6 +123,13 @@ def test_oracle_triangles(capsys, k3):
     assert payload["witnesses"][0] == [["0", "0"], ["1", "1"], ["2", "2"]]
 
 
+def test_oracle_rejects_negative_max_witnesses(capsys, k3):
+    code, out, err = run(capsys, "oracle", k3, k3, "--max-witnesses", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--max-witnesses" in err
+
+
 def test_oracle_guard_is_reported(capsys, tmp_path):
     big = write(tmp_path / "big.lad", to_lad(Graph(11)))
     code, _, err = run(capsys, "oracle", big, big)

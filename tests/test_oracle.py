@@ -40,10 +40,17 @@ def test_all_witnesses_are_isomorphisms_of_full_size():
 
 
 def test_witness_cap_sets_flag():
-    res = brute_force_mcis(k(4), k(4), witness_cap=3)
-    assert res.size == 4
-    assert len(res.witnesses) == 3
-    assert res.witnesses_capped
+    # the optimum does not depend on how many witnesses are kept
+    for n, cap in ((4, 3), (3, 0)):
+        res = brute_force_mcis(k(n), k(n), witness_cap=cap)
+        assert res.size == n
+        assert len(res.witnesses) == cap
+        assert res.witnesses_capped
+
+
+def test_negative_witness_cap_is_rejected():
+    with pytest.raises(ValueError, match="witness_cap"):
+        brute_force_mcis(k(3), k(3), witness_cap=-1)
 
 
 def test_loop_must_match_loop():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from time import perf_counter
 
@@ -360,12 +361,23 @@ def _dense_pair(n, seed):
     return mk(), mk()
 
 
-def test_timeout_returns_best_so_far():
+def test_timeout_returns_best_so_far(monkeypatch):
     g, h = _dense_pair(40, 11)
     sol = solve(g, h, SolverConfig(timeout=0.05))
     assert not sol.stats.completed
     assert sol.size == sol.stats.incumbent_size
     assert is_isomorphism(g, h, sol.mapping)
+
+    # a deep search stopped mid-descent, on any machine: the clock advances
+    # one unit per read, and this descent reads it once per level
+    monkeypatch.setattr("mcis.solver.perf_counter", itertools.count().__next__)
+    n = 3000
+    p = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    sol = solve(p, p, SolverConfig(timeout=1500))
+    assert not sol.stats.completed
+    assert 0 < sol.stats.incumbent_size < n
+    assert sol.size == sol.stats.incumbent_size
+    assert is_isomorphism(p, p, sol.mapping)
 
 
 def test_timeout_is_respected_roughly():
@@ -402,8 +414,8 @@ def test_solve_leaves_no_reference_cycles():
 
 
 def test_deep_path_solves():
-    # one Python frame per search level: a second one would overflow here
-    n = 600
+    # the search depth is n, three times Python's default recursion limit
+    n = 3000
     p = Graph(n, [(i, i + 1) for i in range(n - 1)])
     sol = solve(p, p)
     assert sol.stats.completed
