@@ -134,14 +134,13 @@ def _cmd_oracle(args) -> int:
         raise ValueError("--max-witnesses must be non-negative")
     g = load_graph(args.g_path, args.format, args.directed, args.loops)
     h = load_graph(args.h_path, args.format, args.directed, args.loops)
-    result = brute_force_mcis(g, h)
+    result = brute_force_mcis(g, h, witness_cap=args.max_witnesses)
     payload = {
         "size": result.size,
-        "witness_count": len(result.witnesses),
+        "witness_count": result.witness_count,
         "witnesses_capped": result.witnesses_capped,
         "witnesses": [
-            [[g.display_name(v), h.display_name(u)] for v, u in w]
-            for w in result.witnesses[: args.max_witnesses]
+            [[g.display_name(v), h.display_name(u)] for v, u in w] for w in result.witnesses
         ],
     }
     print(json.dumps(payload))

@@ -27,12 +27,15 @@ class OracleResult:
     size: int
     witnesses: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
     witnesses_capped: bool = False
+    # maximum mappings found, kept or not
+    witness_count: int = 0
 
 
 def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP) -> OracleResult:
     """Exact optimum plus all maximum mappings (up to ``witness_cap``).
 
     Witnesses are tuples of (g_vertex, h_vertex) pairs sorted by g_vertex.
+    ``witness_count`` counts every maximum mapping, also those past the cap.
     """
     if g.n > MAX_ORACLE_N or h.n > MAX_ORACLE_N:
         raise ValueError(f"oracle accepts at most {MAX_ORACLE_N} vertices per graph")
@@ -54,8 +57,9 @@ def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP)
                 if len(witnesses) < witness_cap:
                     witnesses.append(mapping)
         if found:
-            return OracleResult(k, witnesses, found > len(witnesses))
-    return OracleResult(0, [()], False)
+            return OracleResult(k, witnesses, found > len(witnesses), found)
+    # the empty mapping is the one maximum mapping
+    return OracleResult(0, [()] if witness_cap else [], witness_cap == 0, 1)
 
 
 def _consistent_images(g: Graph, h: Graph, subset: tuple[int, ...]):

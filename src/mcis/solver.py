@@ -27,14 +27,17 @@ rules, in every configuration. Keeping the two aligned means a skipped
 branch's surviving twin is always explored earlier in depth-first order,
 which in turn makes branch counts shrink monotonically as rules are added.
 
-Module layout: ``solve`` relabels both graphs into bitset rows and runs
-the search as one loop over a stack of pending nodes; the counters go
-straight into its ``SearchStats``. The choice of bidomain and vertex, the
-bound and both pruning rules are spelled inline in that loop, and
-``_split`` is its one partition operation. The same decisions over plain
-vertex lists, as McSplit writes them, live in ``tests/reference.py``: they
-are the independent reference the tests hold the search to, counter for
-counter and pair for pair.
+Module layout: ``solve`` relabels G into bitset rows, and H row by row
+when a split first needs one, and runs the search as one loop over a stack
+of pending nodes. A candidate child waits on the stack unsplit, beside its
+parent's bidomains and bound, and is split only when popped, if that bound
+still beats the incumbent. The counters live in locals of the loop and
+reach its ``SearchStats`` once, when the loop ends. The choice of bidomain
+and vertex, the bound and both pruning rules are spelled inline in that
+loop, and ``_split`` is its one partition operation. The same decisions
+over plain vertex lists, as McSplit writes them, live in
+``tests/reference.py``: they are the independent reference the tests hold
+the search to, counter for counter and pair for pair.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from .graph import Graph, _bits_to_list
+from .graph import Graph
 from .symmetry import SymmetryClasses, compute_symmetry_classes
 
 # (var_sym, val_sym) of each standard rule combination, by name
@@ -125,29 +128,36 @@ def _split(bds, g_row, h_row):
     """Every bidomain halved by adjacency to one row per side.
 
     The no-edge half comes first, and a half with an empty side is dropped:
-    none of its vertices can be matched any more.
+    none of its vertices can be matched any more. Returns the halves and
+    the sum of min(g_len, h_len) over them, the bound's share of them.
     """
     out = []
+    total = 0
     for gb, hb, _, _ in bds:
         g1 = gb & g_row
         h1 = hb & h_row
         g0 = gb ^ g1
         h0 = hb ^ h1
         if g0 and h0:
-            out.append((g0, h0, g0.bit_count(), h0.bit_count()))
+            gl = g0.bit_count()
+            hl = h0.bit_count()
+            out.append((g0, h0, gl, hl))
+            total += gl if gl < hl else hl
         if g1 and h1:
-            out.append((g1, h1, g1.bit_count(), h1.bit_count()))
-    return out
+            gl = g1.bit_count()
+            hl = h1.bit_count()
+            out.append((g1, h1, gl, hl))
+            total += gl if gl < hl else hl
+    return out, total
 
 
-def _relabel(rows: list[int], order: list[int], new_id: list[int]) -> list[int]:
-    """Adjacency rows renumbered: row i is old vertex order[i], bits by new_id."""
-    out = []
-    for old in order:
-        row = 0
-        for w in _bits_to_list(rows[old]):
-            row |= 1 << new_id[w]
-        out.append(row)
+def _relabel_row(row: int, new_id: list[int]) -> int:
+    """One adjacency row with every set bit w moved to new_id[w]."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= 1 << new_id[low.bit_length() - 1]
+        row ^= low
     return out
 
 
@@ -158,11 +168,13 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     measured solve, and drive the two pruning rules when enabled. On timeout
     the incumbent found so far is returned with ``stats.completed`` false.
 
-    The search runs on bitsets. Both graphs are relabelled once, up front.
-    G is relabelled by (-degree, id), so the branching vertex of a bidomain
-    is its lowest set bit. H is relabelled by the value order, so a vertex's
-    label is its rank, and walking a bidomain's H bits upward yields the
-    candidates in value order. A bidomain is a ``(g_bits, h_bits, g_len,
+    The search runs on bitsets. G is relabelled by (-degree, id), so the
+    branching vertex of a bidomain is its lowest set bit. H is relabelled by
+    the value order, so a vertex's label is its rank, and walking a
+    bidomain's H bits upward yields the candidates in value order. G's rows
+    are relabelled up front; an H row is relabelled the first time a split
+    reads it, since most H vertices of a large sparse target never become a
+    candidate that gets split. A bidomain is a ``(g_bits, h_bits, g_len,
     h_len)`` tuple, and :func:`_split` is the one partition operation: it
     halves every bidomain by one row per side. The root is the whole vertex
     sets split by loop flag; a match splits by the out-rows of the pair and,
@@ -170,10 +182,30 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     original ids only when an incumbent is recorded.
 
     The search pops pending nodes off a stack, so memory, not the recursion
-    limit, bounds its depth. An entry holds a node's bidomains, matched
-    count, path length above it and the pair leading to it. A node pushes
-    its unmatched child, then its candidates from the top rank down, so they
-    pop in value order with the unmatched child last, as the counters expect.
+    limit, bounds its depth. An entry holds bidomains, matched count, path
+    length above the node, the pair leading to it, a bound and a split
+    index. A node takes v out of its chosen bidomain in its own list, then
+    pushes its unmatched child, with that list and its exact bound, and its
+    candidates from the top rank down, so they pop in value order with the
+    unmatched child last, as the counters expect.
+
+    A candidate is pushed unsplit: its entry holds the same list, the
+    node's bound and the chosen index. When popped, it takes u out of the
+    chosen bidomain, splits the list and puts the bidomain back. No other
+    node reads the list meanwhile: it is the root, a split's result or a
+    parent's list that all of the parent's candidates are done with, and
+    the unmatched child, which takes it over, pops after every sibling. Only
+    when v was the chosen bidomain's last G vertex does the unmatched child
+    get a copy without that bidomain.
+
+    A child's bound never exceeds its parent's: the chosen bidomain's min
+    falls by one, the match adds one back, and splitting only lowers the
+    sum. So the parent's bound stands in for a candidate's until it is
+    split, and a candidate it cannot lift above the incumbent is pruned,
+    and counted as such, without being split.
+
+    The counters are kept in locals and written to ``stats`` once, after
+    the loop, which a timeout leaves by ``break``.
     """
     if config is None:
         config = SolverConfig()
@@ -192,12 +224,12 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     g_new = [0] * g.n
     for i, v in enumerate(g_ids):
         g_new[v] = i
-    g_out = _relabel(g.out_bits, g_ids, g_new)
-    h_out = _relabel(h.out_bits, h_ids, rank)
     directed = g.directed
-    if directed:
-        g_in = _relabel(g.in_bits, g_ids, g_new)
-        h_in = _relabel(h.in_bits, h_ids, rank)
+    g_out = [_relabel_row(g.out_bits[v], g_new) for v in g_ids]
+    g_in = [_relabel_row(g.in_bits[v], g_new) for v in g_ids] if directed else None
+    # relabelled on first use, indexed by rank
+    h_out = [None] * h.n
+    h_in = [None] * h.n
     gclass = [classes_g.class_id[v] for v in g_ids]
     hclass = [classes_h.class_id[u] for u in h_ids]
     g_peers = [len(classes_g.peers(v)) > 1 for v in g_ids]
@@ -210,40 +242,66 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     # a looped vertex can only match a looped one
     g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v])
     h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u])
-    root = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
+    root, root_bound = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
 
     mapping: list[tuple[int, int | None]] = []
     best: list[tuple[int, int]] = []
-    stats = SearchStats()
-    # pending nodes: (bidomains, matched count, path length above, pair)
-    stack = [(root, 0, 0, None)]
+    branches = bound_prunes = var_sym_prunes = val_sym_prunes = 0
+    incumbent = 0
+    time_to_best = 0.0
+    branches_to_best = 0
+    completed = True
+    # pending nodes: (bidomains, matched count, path length above, pair,
+    # bound, split index); a split index of -1 marks bidomains already split
+    stack = [(root, 0, 0, None, root_bound, -1)]
 
     while stack:
-        bds, mc, depth, pair = stack.pop()
-        stats.branches += 1
+        bds, mc, depth, pair, bound, bi = stack.pop()
+        branches += 1
         tick -= 1
         if tick <= 0:
             tick = _CHECK_INTERVAL
             if deadline is not None and perf_counter() >= deadline:
-                stats.completed = False
+                completed = False
                 break
+        if bound <= incumbent:
+            # for a candidate not yet split this is its parent's bound,
+            # which its own cannot exceed
+            bound_prunes += 1
+            continue
 
-        bound = mc
-        for _, _, gl, hl in bds:
-            bound += gl if gl < hl else hl
-        if bound > stats.incumbent_size:
+        if bi >= 0:
+            v, u = pair
+            chosen = bds[bi]
+            gb, hb, gl, hl = chosen
+            bds[bi] = (gb, hb ^ (1 << u), gl, hl - 1)
+            h_row = h_out[u]
+            if h_row is None:
+                h_row = h_out[u] = _relabel_row(h.out_bits[h_ids[u]], rank)
+            child, bound = _split(bds, g_out[v], h_row)
+            if directed:
+                h_row = h_in[u]
+                if h_row is None:
+                    h_row = h_in[u] = _relabel_row(h.in_bits[h_ids[u]], rank)
+                # (out, in) buckets in the order 00, 01, 10, 11
+                child, bound = _split(child, g_in[v], h_row)
+            bds[bi] = chosen
+            bds = child
+            bound += mc
+
+        if bound > incumbent:
             # only a node the bound keeps reads the path, and a new
             # incumbent is such a node, since mc <= bound
             del mapping[depth:]
             if pair is not None:
                 mapping.append(pair)
-            if mc > stats.incumbent_size:
-                stats.incumbent_size = mc
+            if mc > incumbent:
+                incumbent = mc
                 best = [(g_ids[v], h_ids[u]) for v, u in mapping if u is not None]
-                stats.time_to_best = perf_counter() - t0
-                stats.branches_to_best = stats.branches
-        if bound <= stats.incumbent_size:
-            stats.bound_prunes += 1
+                time_to_best = perf_counter() - t0
+                branches_to_best = branches
+        if bound <= incumbent:
+            bound_prunes += 1
             continue
         path_len = len(mapping)
 
@@ -269,13 +327,18 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                     if rk > var_bound:
                         var_bound = rk
 
-        # the unmatched child goes below its siblings, so it pops last
-        rest = bds.copy()
-        if gl == 0:
-            del rest[best_i]
+        # every child lacks v; the candidates take u out too when popped,
+        # and the unmatched child, which pops after them all, takes the
+        # list over
+        bds[best_i] = (gb, hb, gl, hl)
+        if gl:
+            rest = bds
         else:
-            rest[best_i] = (gb, hb, gl, hl)
-        stack.append((rest, mc, path_len, (v, None)))
+            rest = bds.copy()
+            del rest[best_i]
+        # leaving v out lowers the chosen min by one exactly when G's side,
+        # now short of v, is the smaller
+        stack.append((rest, mc, path_len, (v, None), bound - (gl < hl), -1))
 
         prev_class = -1
         cands = hb
@@ -283,26 +346,28 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             # every candidate ranked below the bound loses to a swap
             skipped = cands & ((1 << var_bound) - 1)
             if skipped:
-                stats.var_sym_prunes += skipped.bit_count()
+                var_sym_prunes += skipped.bit_count()
                 prev_class = hclass[skipped.bit_length() - 1]
                 cands ^= skipped
-        v_out = g_out[v]
-        v_in = g_in[v] if directed else 0
         # from the top rank down: the next lower candidate (or the var seed)
         # is the one visited just before this one
         while cands:
             u = cands.bit_length() - 1
-            ubit = 1 << u
-            cands ^= ubit
+            cands ^= 1 << u
             if use_val and hclass[u] == (hclass[cands.bit_length() - 1] if cands else prev_class):
                 # an interchangeable candidate comes first in this bidomain
-                stats.val_sym_prunes += 1
+                val_sym_prunes += 1
                 continue
-            bds[best_i] = (gb, hb ^ ubit, gl, hl - 1)
-            child = _split(bds, v_out, h_out[u])
-            if directed:
-                # (out, in) buckets in the order 00, 01, 10, 11
-                child = _split(child, v_in, h_in[u])
-            stack.append((child, mc + 1, path_len, (v, u)))
+            stack.append((bds, mc + 1, path_len, (v, u), bound, best_i))
 
+    stats = SearchStats(
+        branches=branches,
+        bound_prunes=bound_prunes,
+        var_sym_prunes=var_sym_prunes,
+        val_sym_prunes=val_sym_prunes,
+        incumbent_size=incumbent,
+        time_to_best=time_to_best,
+        branches_to_best=branches_to_best,
+        completed=completed,
+    )
     return Solution(best, stats)

@@ -123,6 +123,17 @@ def test_oracle_triangles(capsys, k3):
     assert payload["witnesses"][0] == [["0", "0"], ["1", "1"], ["2", "2"]]
 
 
+def test_oracle_counts_witnesses_past_the_cap(capsys, tmp_path):
+    k5 = write(tmp_path / "k5.lad", to_lad(Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])))
+    code, out, _ = run(capsys, "oracle", k5, k5, "--max-witnesses", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["size"] == 5
+    assert payload["witness_count"] == 120  # 5! relabellings, one kept
+    assert len(payload["witnesses"]) == 1
+    assert payload["witnesses_capped"] is True
+
+
 def test_oracle_rejects_negative_max_witnesses(capsys, k3):
     code, out, err = run(capsys, "oracle", k3, k3, "--max-witnesses", "-1")
     assert code == 1

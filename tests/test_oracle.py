@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -46,6 +47,7 @@ def test_witness_cap_sets_flag():
         assert res.size == n
         assert len(res.witnesses) == cap
         assert res.witnesses_capped
+        assert res.witness_count == math.factorial(n)
 
 
 def test_negative_witness_cap_is_rejected():
@@ -58,6 +60,8 @@ def test_loop_must_match_loop():
     plain = Graph(1)
     res = brute_force_mcis(looped, plain)
     assert res.size == 0
+    assert (res.witnesses, res.witness_count) == ([()], 1)
+    assert brute_force_mcis(looped, plain, witness_cap=0).witnesses == []
     assert res.witnesses == [()]
     assert brute_force_mcis(looped, looped).size == 1
 

@@ -4,8 +4,9 @@ import random
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import corpus_pairs
+from corpus import MODES, corpus_pairs
 from known_instance import BRANCHES, OPTIMUM, graph_g, graph_h
 from mcis import (
     CONFIG_NAMES,
@@ -13,10 +14,12 @@ from mcis import (
     SolverConfig,
     brute_force_mcis,
     compute_symmetry_classes,
+    induced_subgraph,
     is_isomorphism,
     solve,
     value_order_ranks,
 )
+from mcis.solver import _split
 from reference import (
     Bidomain,
     initial_partition,
@@ -361,6 +364,25 @@ def _dense_pair(n, seed):
     return mk(), mk()
 
 
+def _planted_star(directed, n=300, k=24, seed=1):
+    """A k-vertex star planted in a sparse n-vertex target, as (pattern, target).
+
+    The hub 0 has the highest degree, and its leaves 1..k-1 are pairwise
+    non-adjacent, so the first descent matches the whole pattern, reaching
+    the root's bound; every later candidate can be cut on its parent's bound.
+    """
+    rng = random.Random(seed)
+    edges = {(rng.randrange(k, v), v) for v in range(k + 1, n)}
+    edges |= {tuple(rng.sample(range(k, n), 2)) for _ in range(n // 2)}
+    for v in range(1, k):
+        edges |= {(0, v), (v, rng.randrange(k, n))}
+    edges |= {(0, v) for v in rng.sample(range(k, n), 8)}
+    if directed:
+        edges = {(a, b) if rng.random() < 0.5 else (b, a) for a, b in sorted(edges)}
+    h = Graph(n, sorted(edges), directed=directed)
+    return induced_subgraph(h, range(k)), h
+
+
 def test_timeout_returns_best_so_far(monkeypatch):
     g, h = _dense_pair(40, 11)
     sol = solve(g, h, SolverConfig(timeout=0.05))
@@ -378,6 +400,18 @@ def test_timeout_returns_best_so_far(monkeypatch):
     assert 0 < sol.stats.incumbent_size < n
     assert sol.size == sol.stats.incumbent_size
     assert is_isomorphism(p, p, sol.mapping)
+
+    # the deadline falls among the candidates cut on the root's bound, after
+    # the first descent found the planted star: one clock read per search node
+    monkeypatch.setattr("mcis.solver._CHECK_INTERVAL", 1)
+    g, h = _planted_star(directed=False)
+    full = solve(g, h).stats
+    assert full.branches - full.branches_to_best > 500
+    sol = solve(g, h, SolverConfig(timeout=full.branches_to_best + 200))
+    assert not sol.stats.completed
+    assert full.branches_to_best < sol.stats.branches < full.branches
+    assert sol.stats.incumbent_size == sol.size == g.n
+    assert is_isomorphism(g, h, sol.mapping)
 
 
 def test_timeout_is_respected_roughly():
@@ -422,6 +456,32 @@ def test_deep_path_solves():
     assert sol.stats.incumbent_size == n
 
 
+# -- the cut: candidates pruned on their parent's bound, never split ----------
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_cut_candidates_are_not_split(monkeypatch, directed):
+    g, h = _planted_star(directed)
+    calls = 0
+
+    def counting_split(*args):
+        nonlocal calls
+        calls += 1
+        return _split(*args)
+
+    monkeypatch.setattr("mcis.solver._split", counting_split)
+    for name in CONFIG_NAMES:
+        config = SolverConfig.from_name(name)
+        calls = 0
+        sol = solve(g, h, config)
+        ref_mapping, ref_stats = reference_solve(g, h, config)
+        assert {key: getattr(sol.stats, key) for key in ref_stats} == ref_stats, name
+        assert sol.mapping == ref_mapping, name
+        assert sol.size == g.n
+        # splitting every candidate would call it at least once per branch
+        assert calls < sol.stats.branches / 2, name
+
+
 # -- differential: engine versus plain-list reference --------------------------
 
 
@@ -450,6 +510,42 @@ def test_engine_matches_reference_on_random_pairs():
                 ref_stats["branches_to_best"],
             ), f"pair {pair.index} config {name}"
             assert sol.mapping == ref_mapping, f"pair {pair.index} config {name}"
+
+
+@st.composite
+def _graph_pairs(draw, max_n=14):
+    """Two graphs of one directedness x loops mode, past the oracle's n <= 10."""
+    directed, loops = draw(st.sampled_from(MODES))
+
+    def side():
+        n = draw(st.integers(1, max_n))
+        adj = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if adj[i * n + j] and (loops if i == j else directed or i < j)
+        ]
+        return Graph(n, edges, directed=directed)
+
+    return side(), side()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_pairs())
+def test_engine_matches_reference_property(pair):
+    g, h = pair
+    sizes = set()
+    for name in CONFIG_NAMES:
+        config = SolverConfig.from_name(name)
+        sol = solve(g, h, config)
+        ref_mapping, ref_stats = reference_solve(g, h, config)
+        got = sol.stats
+        assert {key: getattr(got, key) for key in ref_stats} == ref_stats, name
+        assert sol.mapping == ref_mapping, name
+        assert is_isomorphism(g, h, sol.mapping), name
+        sizes.add(got.incumbent_size)
+    assert len(sizes) == 1
 
 
 def test_solve_matches_oracle_on_small_pairs():
