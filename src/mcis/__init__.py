@@ -1,16 +1,7 @@
 """Exact maximum common induced subgraph solving with symmetry pruning."""
 
-from .graph import (
-    Graph,
-    GraphParseError,
-    induced_subgraph,
-    is_isomorphism,
-    parse_edgelist,
-    parse_lad,
-    to_edgelist,
-    to_lad,
-)
-from .symmetry import SymmetryClasses, are_symmetric, compute_symmetry_classes
+from .graph import Graph, GraphParseError, is_isomorphism, parse_edgelist, parse_lad
+from .symmetry import SymmetryClasses, compute_symmetry_classes
 from .solver import (
     CONFIG_NAMES,
     SearchStats,
@@ -29,13 +20,9 @@ __all__ = [
     "GraphParseError",
     "parse_lad",
     "parse_edgelist",
-    "to_lad",
-    "to_edgelist",
-    "induced_subgraph",
     "is_isomorphism",
     "SymmetryClasses",
     "compute_symmetry_classes",
-    "are_symmetric",
     "SolverConfig",
     "SearchStats",
     "Solution",

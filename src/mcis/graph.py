@@ -14,11 +14,23 @@ Two text formats are supported:
   undirected; repeated or one-sided mentions of the same edge collapse.
 * Edge list: header line ``n m``, then ``m`` lines ``a b``. Vertex tokens
   are either all numeric ids or all symbolic names; names are interned to
-  dense ids in order of first appearance and kept for display.
+  dense ids in order of first appearance and kept for display. A numeric
+  id is digits after any leading minus signs, so ``+3`` and ``1_000`` are
+  names, though int() reads them as numbers.
+
+The parsers build the rows themselves and hand them to ``Graph``. A body
+is read in whole-list steps: one ``map`` turns every token into an id, and
+min(), max() and one comparison per line check it. Each edge then costs
+one big-int OR per row it sets, and loop flags are read off the rows'
+diagonal bits. So a parse is a few C-level passes over the tokens plus
+O(m) Python steps, each an OR on an n-bit row. Only when a bulk check
+fails is the body scanned line by line, to name the first bad line.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
+from operator import and_, eq, itemgetter, sub
 from typing import Iterable, Sequence
 
 
@@ -47,13 +59,21 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         directed: bool = False,
         names: Sequence[str] | None = None,
+        rows: tuple[list[int], list[int], list[bool]] | None = None,
     ):
+        """A graph from its edges, or from ``rows``: the ``(out_bits,
+        in_bits, loops)`` lists the parsers build, taken as they are (an
+        undirected graph's in_bits is its out_bits list)."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if names is not None and len(names) != n:
             raise ValueError("name table length must equal vertex count")
         self.n = n
         self.directed = directed
+        self.names = list(names) if names is not None else None
+        if rows is not None:
+            self.out_bits, self.in_bits, self.loops = rows
+            return
         out = [0] * n
         inn = [0] * n if directed else out
         loops = [False] * n
@@ -69,7 +89,6 @@ class Graph:
         self.out_bits = out
         self.in_bits = inn
         self.loops = loops
-        self.names = list(names) if names is not None else None
 
     # -- basic queries ----------------------------------------------------
 
@@ -82,20 +101,6 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         """Out-neighbors of v in ascending order (loops excluded)."""
         return _bits_to_list(self.out_bits[v])
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return _bits_to_list(self.in_bits[v])
-
-    def degree(self, v: int) -> int:
-        """Neighbor count; for directed graphs, in-degree plus out-degree."""
-        d = self.out_bits[v].bit_count()
-        if self.directed:
-            d += self.in_bits[v].bit_count()
-        return d
-
-    @property
-    def has_loops(self) -> bool:
-        return any(self.loops)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list in canonical order: loops as (v, v), undirected once."""
@@ -144,53 +149,102 @@ def _bits_to_list(bits: int) -> list[int]:
 # -- parsing ---------------------------------------------------------------
 
 
-def _split_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Non-blank lines as (1-based line number, tokens)."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split()
-        if toks:
-            out.append((i, toks))
-    return out
+def _split_lines(text: str) -> tuple[list[list[str]], list[int]]:
+    """Tokens of the non-blank lines, and each one's 1-based line number."""
+    split = list(map(str.split, text.splitlines()))
+    return list(filter(None, split)), list(compress(range(1, len(split) + 1), split))
+
+
+def _rows(n: int, heads: list[int], tails: list[int], directed: bool):
+    """``(out_bits, in_bits, loops)`` of the arcs ``heads[i] -> tails[i]``.
+
+    Every id must lie in ``0..n-1``. Undirected rows get both directions,
+    so a repeated or reversed pair gives the same edge. A pair ``(v, v)``
+    sets v's diagonal bit, which becomes its loop flag and is cleared. The
+    table of powers of two holds about as many bits as the rows do, and is
+    freed before symmetry detection doubles them.
+    """
+    bits = [1 << v for v in range(n)]
+    out = [0] * n
+    inn = [0] * n if directed else out
+    for a, b in zip(heads, tails):
+        out[a] |= bits[b]
+        # undirected: inn is out, so this also stores b->a
+        inn[b] |= bits[a]
+    loops = list(map(bool, map(and_, out, bits)))
+    for v in compress(range(n), loops):
+        out[v] ^= bits[v]
+        if directed:
+            inn[v] ^= bits[v]
+    return out, inn, loops
 
 
 def parse_lad(text: str) -> Graph:
-    """Parse the LAD adjacency-list format into an undirected Graph."""
-    lines = _split_lines(text)
+    """Parse the LAD adjacency-list format into an undirected Graph.
+
+    Each mention of w in row v is an edge ``(v, w)``, so a one-sided or
+    repeated mention gives the same edge.
+    """
+    n, owners, nbrs = _read_lad(text)
+    return Graph(n, rows=_rows(n, owners, nbrs, False))
+
+
+def _read_lad(text: str) -> tuple[int, list[int], list[int]]:
+    """The vertex count, and each mention as its row's index and its own.
+
+    The rows are read in bulk: one ``map(int, ...)`` over the count tokens
+    and one over the rest, a comparison of each row's count with its
+    length, and min() and max() over the mentions. When a bulk check fails,
+    :func:`_lad_error` scans the rows in order to name the first bad one.
+    The tokens are freed on return, before the rows are built.
+    """
+    lines, line_no = _split_lines(text)
     if not lines:
         raise GraphParseError(1, "empty input, expected a vertex count")
-    ln, toks = lines[0]
-    if len(toks) != 1:
-        raise GraphParseError(ln, "expected a single vertex-count token")
+    if len(lines[0]) != 1:
+        raise GraphParseError(line_no[0], "expected a single vertex-count token")
     try:
-        n = int(toks[0])
+        n = int(lines[0][0])
     except ValueError:
-        raise GraphParseError(ln, f"vertex count is not an integer: {toks[0]!r}") from None
+        raise GraphParseError(line_no[0], f"vertex count is not an integer: {lines[0][0]!r}") from None
     if n < 0:
-        raise GraphParseError(ln, "vertex count must be non-negative")
+        raise GraphParseError(line_no[0], "vertex count must be non-negative")
     if len(lines) - 1 < n:
         raise GraphParseError(
-            lines[-1][0], f"truncated input: expected {n} adjacency rows, found {len(lines) - 1}"
+            line_no[-1], f"truncated input: expected {n} adjacency rows, found {len(lines) - 1}"
         )
     if len(lines) - 1 > n:
-        raise GraphParseError(lines[n + 1][0], f"unexpected extra row, expected {n} adjacency rows")
+        raise GraphParseError(line_no[n + 1], f"unexpected extra row, expected {n} adjacency rows")
 
-    edges = []
-    for v in range(n):
-        ln, toks = lines[v + 1]
+    body = lines[1:]
+    try:
+        counts = list(map(int, map(itemgetter(0), body)))
+        nbrs = list(map(int, chain.from_iterable(map(itemgetter(slice(1, None)), body))))
+    except ValueError:
+        raise _lad_error(body, line_no[1:], n) from None
+    # each row's length is one more than its count token
+    if set(map(sub, map(len, body), counts)) - {1} or nbrs and not 0 <= min(nbrs) <= max(nbrs) < n:
+        raise _lad_error(body, line_no[1:], n)
+    return n, list(chain.from_iterable(map(repeat, range(n), counts))), nbrs
+
+
+def _lad_error(body: list[list[str]], line_no: list[int], n: int) -> GraphParseError:
+    """The error of the first bad LAD row, checked token by token.
+
+    :func:`_read_lad` calls this only once a bulk check has failed, to name
+    the line; these are the per-row rules those checks stand for.
+    """
+    for v, (toks, ln) in enumerate(zip(body, line_no)):
         try:
             row = [int(t) for t in toks]
         except ValueError:
-            raise GraphParseError(ln, f"non-integer token in adjacency row {v}") from None
+            return GraphParseError(ln, f"non-integer token in adjacency row {v}")
         if row[0] != len(row) - 1:
-            raise GraphParseError(
-                ln, f"row {v} declares {row[0]} neighbors but lists {len(row) - 1}"
-            )
+            return GraphParseError(ln, f"row {v} declares {row[0]} neighbors but lists {len(row) - 1}")
         for w in row[1:]:
             if not 0 <= w < n:
-                raise GraphParseError(ln, f"neighbor index {w} out of range for n={n}")
-            edges.append((v, w))
-    return Graph(n, edges)
+                return GraphParseError(ln, f"neighbor index {w} out of range for n={n}")
+    raise AssertionError("no adjacency row holds an error")
 
 
 def parse_edgelist(text: str, directed: bool = False, allow_loops: bool = False) -> Graph:
@@ -200,116 +254,104 @@ def parse_edgelist(text: str, directed: bool = False, allow_loops: bool = False)
     or all symbolic names, which are interned in order of first appearance.
     A line ``a a`` is only accepted when ``allow_loops`` is set.
     """
-    lines = _split_lines(text)
+    n, ids, names = _read_edgelist(text, allow_loops)
+    if names is not None:
+        names += map(str, range(len(names), n))
+    return Graph(n, directed=directed, names=names, rows=_rows(n, ids[0::2], ids[1::2], directed))
+
+
+def _read_edgelist(text: str, allow_loops: bool) -> tuple[int, list[int], list[str] | None]:
+    """The vertex count, the ids of the edge lines' tokens in order, and
+    the interned names (None for numeric ids).
+
+    The body is read in bulk: the first token fixes the kind, every token
+    becomes an id in one ``map`` (int() for numeric ids, a dict of the
+    distinct names otherwise), and min() and max() check the ids' range.
+    When a bulk check fails, :func:`_edgelist_error` scans the lines in
+    order to name the first bad one. The tokens are freed on return, before
+    the rows are built.
+    """
+    lines, line_no = _split_lines(text)
     if not lines:
         raise GraphParseError(1, "empty input, expected an 'n m' header")
-    ln, toks = lines[0]
-    if len(toks) != 2:
-        raise GraphParseError(ln, "expected header with exactly two tokens: n m")
+    if len(lines[0]) != 2:
+        raise GraphParseError(line_no[0], "expected header with exactly two tokens: n m")
     try:
-        n, m = int(toks[0]), int(toks[1])
+        n, m = int(lines[0][0]), int(lines[0][1])
     except ValueError:
-        raise GraphParseError(ln, "header tokens must be integers") from None
+        raise GraphParseError(line_no[0], "header tokens must be integers") from None
     if n < 0 or m < 0:
-        raise GraphParseError(ln, "header counts must be non-negative")
+        raise GraphParseError(line_no[0], "header counts must be non-negative")
     if len(lines) - 1 != m:
-        raise GraphParseError(
-            lines[-1][0] if len(lines) > 1 else ln,
-            f"expected {m} edge lines, found {len(lines) - 1}",
-        )
+        raise GraphParseError(line_no[-1], f"expected {m} edge lines, found {len(lines) - 1}")
 
-    numeric: bool | None = None
-    names: dict[str, int] = {}
-
-    def vertex(tok: str, ln: int) -> int:
-        nonlocal numeric
-        is_num = tok.lstrip("-").isdigit()
-        if numeric is None:
-            numeric = is_num
-        elif numeric != is_num:
-            raise GraphParseError(ln, "cannot mix numeric ids and symbolic names")
-        if is_num:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise GraphParseError(ln, f"vertex id {tok!r} is not an integer") from None
-            if not 0 <= v < n:
-                raise GraphParseError(ln, f"vertex id {v} out of range for n={n}")
-            return v
-        if tok not in names:
-            if len(names) == n:
-                raise GraphParseError(ln, f"more than {n} distinct vertex names")
-            names[tok] = len(names)
-        return names[tok]
-
-    edges = []
-    for ln, toks in lines[1:]:
-        if len(toks) != 2:
-            raise GraphParseError(ln, "expected exactly two vertex tokens")
-        a = vertex(toks[0], ln)
-        b = vertex(toks[1], ln)
-        if a == b and not allow_loops:
-            raise GraphParseError(ln, f"self-loop {toks[0]!r} not allowed here")
-        edges.append((a, b))
-
-    name_table = None
-    if names:
-        name_table = [""] * n
-        for tok, v in names.items():
-            name_table[v] = tok
-        for v in range(n):
-            if not name_table[v]:
-                name_table[v] = str(v)
-    return Graph(n, edges, directed=directed, names=name_table)
+    body = lines[1:]
+    names = None
+    if not body or _is_id(body[0][0]):
+        as_id = int
+        # int() also takes these, but they make a token a name
+        joined = "".join(chain.from_iterable(body))
+        ok = "+" not in joined and "_" not in joined
+    else:
+        names = list(dict.fromkeys(chain.from_iterable(body)))
+        as_id = dict(zip(names, range(len(names)))).__getitem__
+        ok = not any(map(_is_id, names))
+    try:
+        ids = list(map(as_id, chain.from_iterable(body))) if ok else None
+    except ValueError:
+        ids = None
+    if (
+        ids is None
+        or set(map(len, body)) - {2}
+        or ids and not 0 <= min(ids) <= max(ids) < n
+        or not allow_loops and any(map(eq, ids[0::2], ids[1::2]))
+    ):
+        raise _edgelist_error(body, line_no[1:], n, allow_loops)
+    return n, ids, names
 
 
-# -- serialization (mirrors the parsers) ------------------------------------
+def _is_id(tok: str) -> bool:
+    """Whether an edge-list token is a numeric id: digits after any leading
+    minus signs. int() also takes ``+3`` and ``1_000``; here they are names."""
+    return tok.lstrip("-").isdigit()
 
 
-def to_lad(g: Graph) -> str:
-    """Serialize an undirected graph to LAD text; parse_lad round-trips it."""
-    if g.directed:
-        raise ValueError("LAD format is undirected only")
-    rows = [str(g.n)]
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if g.loops[v]:
-            nbrs = sorted(nbrs + [v])
-        rows.append(" ".join([str(len(nbrs))] + [str(w) for w in nbrs]))
-    return "\n".join(rows) + "\n"
+def _edgelist_error(
+    body: list[list[str]], line_no: list[int], n: int, allow_loops: bool
+) -> GraphParseError:
+    """The error of the first bad edge line, checked token by token.
 
-
-def to_edgelist(g: Graph) -> str:
-    """Serialize to edge-list text; parse_edgelist round-trips it.
-
-    Always emits numeric ids: symbolic names cannot in general be re-interned
-    to the same ids, so they are treated as display metadata only.
+    :func:`_read_edgelist` calls this only once a bulk check has failed, to
+    name the line; these are the per-token rules those checks stand for.
     """
-    edges = g.edges()
-    rows = [f"{g.n} {len(edges)}"]
-    rows.extend(f"{a} {b}" for a, b in edges)
-    return "\n".join(rows) + "\n"
+    numeric = _is_id(body[0][0])
+    names: set[str] = set()
+    for toks, ln in zip(body, line_no):
+        if len(toks) != 2:
+            return GraphParseError(ln, "expected exactly two vertex tokens")
+        ids = []
+        for tok in toks:
+            if _is_id(tok) != numeric:
+                return GraphParseError(ln, "cannot mix numeric ids and symbolic names")
+            if numeric:
+                try:
+                    v = int(tok)
+                except ValueError:
+                    return GraphParseError(ln, f"vertex id {tok!r} is not an integer")
+                if not 0 <= v < n:
+                    return GraphParseError(ln, f"vertex id {v} out of range for n={n}")
+                ids.append(v)
+            else:
+                if tok not in names and len(names) == n:
+                    return GraphParseError(ln, f"more than {n} distinct vertex names")
+                names.add(tok)
+                ids.append(tok)
+        if ids[0] == ids[1] and not allow_loops:
+            return GraphParseError(ln, f"self-loop {toks[0]!r} not allowed here")
+    raise AssertionError("no edge line holds an error")
 
 
-# -- derived graphs and mapping checks ---------------------------------------
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, relabelled 0.. in ascending order."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(vs)}
-    edges = []
-    for v in vs:
-        if g.loops[v]:
-            edges.append((index[v], index[v]))
-        for w in g.neighbors(v):
-            if w in index and (g.directed or v < w):
-                edges.append((index[v], index[w]))
-    names = [g.display_name(v) for v in vs] if g.names is not None else None
-    return Graph(len(vs), edges, directed=g.directed, names=names)
+# -- mapping checks -----------------------------------------------------------
 
 
 def is_isomorphism(g: Graph, h: Graph, mapping: Sequence[tuple[int, int | None]]) -> bool:

@@ -43,6 +43,7 @@ the search to, counter for counter and pair for pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg
 from time import perf_counter
 
 from .graph import Graph
@@ -109,6 +110,31 @@ class Solution:
         return len(self.mapping)
 
 
+def _degrees(g: Graph) -> list[int]:
+    """Neighbor count of every vertex; for directed graphs, in plus out."""
+    deg = list(map(int.bit_count, g.out_bits))
+    if g.directed:
+        deg = list(map(add, deg, map(int.bit_count, g.in_bits)))
+    return deg
+
+
+def _positions(order: list[int]) -> list[int]:
+    """The inverse permutation: ``order[_positions(order)[v]] == v``."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
+def _value_order(h: Graph, classes_h: SymmetryClasses) -> list[int]:
+    """H's vertices in the fixed value order: degree descending, then class
+    id, then id. Class ids lie below n, so one int key orders by the first
+    two, and the stable sort keeps id order among equal keys."""
+    n = h.n
+    keys = [c - d * n for d, c in zip(_degrees(h), classes_h.class_id)]
+    return sorted(range(n), key=keys.__getitem__)
+
+
 def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     """Position of each H-vertex in the fixed value order.
 
@@ -117,11 +143,7 @@ def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     vertices share degree and class, so they are consecutive and fall back
     to id order among themselves.
     """
-    order = sorted(range(h.n), key=lambda u: (-h.degree(u), classes_h.class_id[u], u))
-    ranks = [0] * h.n
-    for i, u in enumerate(order):
-        ranks[u] = i
-    return ranks
+    return _positions(_value_order(h, classes_h))
 
 
 def _split(bds, g_row, h_row):
@@ -218,12 +240,11 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
 
-    g_ids = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    rank = value_order_ranks(h, classes_h)
-    h_ids = sorted(range(h.n), key=rank.__getitem__)
-    g_new = [0] * g.n
-    for i, v in enumerate(g_ids):
-        g_new[v] = i
+    # a stable sort keeps id order among equal degrees
+    g_ids = sorted(range(g.n), key=list(map(neg, _degrees(g))).__getitem__)
+    h_ids = _value_order(h, classes_h)
+    g_new = _positions(g_ids)
+    rank = _positions(h_ids)
     directed = g.directed
     g_out = [_relabel_row(g.out_bits[v], g_new) for v in g_ids]
     g_in = [_relabel_row(g.in_bits[v], g_new) for v in g_ids] if directed else None
@@ -240,8 +261,8 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     tick = 1
 
     # a looped vertex can only match a looped one
-    g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v])
-    h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u])
+    g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v]) if any(g.loops) else 0
+    h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u]) if any(h.loops) else 0
     root, root_bound = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
 
     mapping: list[tuple[int, int | None]] = []

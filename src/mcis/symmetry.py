@@ -11,22 +11,31 @@ No vertex can sit in a non-trivial class of both kinds at once, so grouping
 vertices by their open-neighborhood key and, separately, by their
 closed-neighborhood key yields a single well-defined partition into classes.
 
-Detection groups vertices on int triples taken straight from the bitset
+Detection groups vertices on int tuples taken straight from the bitset
 rows: ``(out_bits[v], in_bits[v], loops[v])`` for the open neighborhood and
 ``(out_bits[v] | 1 << v, in_bits[v] | 1 << v, loops[v])`` for the closed one.
-Two vertices have equal triples exactly when their canonical tuple keys
-(sorted neighbor ids, with a sentinel for a self-loop) are equal, so the
-partition is the same. Those tuple keys are the readable definition. They
-live in ``tests/reference.py``, beside a direct check that swapping two
-vertices maps the edge set onto itself, as the oracles the tests hold this
-grouping to. The cost is O(n) Python steps plus hashing and comparing n-bit ints:
-about n^2 / 30 big-int digit operations in all (CPython stores 30 bits per
-digit), whatever the edge count.
+An undirected graph's ``in_bits`` is its ``out_bits``, so its keys leave
+it out. Two vertices have equal keys exactly when their canonical tuple
+keys (sorted neighbor ids, with a sentinel for a self-loop) are equal, so
+the partition is the same. Those tuple keys are the readable definition.
+They live in ``tests/reference.py``, beside a direct check that swapping
+two vertices maps the edge set onto itself, as the oracles the tests hold
+this grouping to.
+
+Each key kind is grouped in one ``map`` of ``dict.setdefault`` over the
+keys, which hands each vertex the first vertex with its key. The only
+Python step per vertex is the closed rows' ``row | 1 << v``; every other
+one is per twin, and the singleton classes are built with whole-list
+steps. Hashing and comparing the n-bit rows still takes about n^2 / 30
+big-int digit operations (CPython stores 30 bits per digit), whatever the
+edge count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import eq, ne
 
 from .graph import Graph
 
@@ -49,9 +58,6 @@ class SymmetryClasses:
     class_members: dict[int, tuple[int, ...]]
     class_kind: dict[int, str]
 
-    def kind_of(self, v: int) -> str:
-        return self.class_kind[self.class_id[v]]
-
     def peers(self, v: int) -> tuple[int, ...]:
         return self.class_members[self.class_id[v]]
 
@@ -67,50 +73,43 @@ class SymmetryClasses:
 def compute_symmetry_classes(g: Graph) -> SymmetryClasses:
     """Group vertices by their open and closed neighborhood rows.
 
-    Dict lookup performs the hash-bucket-then-exact-compare step, so the
-    result never depends on hash injectivity.
+    A vertex whose key first appeared at another vertex is that vertex's
+    twin. Dict lookup performs the hash-bucket-then-exact-compare step, so
+    the result never depends on hash injectivity.
     """
-    neg_groups: dict[tuple[int, int, bool], list[int]] = {}
-    pos_groups: dict[tuple[int, int, bool], list[int]] = {}
-    neg_keys = []
-    pos_keys = []
-    for v, (out, inn, loop) in enumerate(zip(g.out_bits, g.in_bits, g.loops)):
-        bit = 1 << v
-        nk = (out, inn, loop)
-        pk = (out | bit, inn | bit, loop)
-        neg_keys.append(nk)
-        pos_keys.append(pk)
-        neg_groups.setdefault(nk, []).append(v)
-        pos_groups.setdefault(pk, []).append(v)
-
-    class_id = [-1] * g.n
-    class_members: dict[int, tuple[int, ...]] = {}
-    class_kind: dict[int, str] = {}
-    next_id = 0
-    for v in range(g.n):
-        if class_id[v] != -1:
+    n = g.n
+    # an undirected graph's in_bits is its out_bits, so it is left out
+    rows = (g.out_bits, g.in_bits) if g.directed else (g.out_bits,)
+    # the smallest member of each vertex's class
+    rep = list(range(n))
+    # smallest member -> (kind, members) of each non-trivial class
+    groups: dict[int, tuple[str, list[int]]] = {}
+    for kind in (NEGATIVE, POSITIVE):
+        if kind == POSITIVE:
+            rows = [[row | 1 << v for v, row in enumerate(side)] for side in rows]
+        first_of: dict = {}
+        earliest = list(map(first_of.setdefault, zip(*rows, g.loops), range(n)))
+        if len(first_of) == n:
             continue
-        group = neg_groups[neg_keys[v]]
-        kind = NEGATIVE
-        if len(group) < 2:
-            group = pos_groups[pos_keys[v]]
-            kind = POSITIVE
-        if len(group) < 2:
-            group = [v]
-            kind = SINGLETON
-        # a vertex can belong to at most one non-trivial class; anything else
-        # would make the assignment below ambiguous
-        assert all(class_id[w] == -1 for w in group), "overlapping symmetry classes"
-        for w in group:
-            class_id[w] = next_id
-        class_members[next_id] = tuple(group)
-        class_kind[next_id] = kind
-        next_id += 1
-    return SymmetryClasses(g.n, class_id, class_members, class_kind)
+        for v in compress(range(n), map(ne, earliest, range(n))):
+            r = earliest[v]
+            # a vertex can belong to at most one non-trivial class; anything
+            # else would make the assignment ambiguous
+            assert rep[v] == v and rep[r] == r and v not in groups, "overlapping symmetry classes"
+            rep[v] = r
+            if r in groups:
+                assert groups[r][0] == kind, "overlapping symmetry classes"
+                groups[r][1].append(v)
+            else:
+                groups[r] = (kind, [r, v])
 
-
-def are_symmetric(classes: SymmetryClasses, u: int, v: int) -> bool:
-    """O(1) interchangeability test; false for u == v and for singletons."""
-    if u == v:
-        return False
-    return classes.class_id[u] == classes.class_id[v]
+    if not groups:
+        return SymmetryClasses(n, rep, dict(enumerate(zip(rep))), dict.fromkeys(rep, SINGLETON))
+    # ids in order of smallest member: the vertices that are their own rep
+    index = dict(zip(compress(range(n), map(eq, rep, range(n))), count()))
+    class_members = dict(enumerate(zip(index)))
+    class_kind = dict.fromkeys(index.values(), SINGLETON)
+    for r, (kind, members) in groups.items():
+        class_members[index[r]] = tuple(members)
+        class_kind[index[r]] = kind
+    return SymmetryClasses(n, list(map(index.__getitem__, rep)), class_members, class_kind)

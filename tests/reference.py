@@ -18,14 +18,30 @@ out-neighbor tuples, with the sentinel on both sides.
 bitset-row grouping of ``compute_symmetry_classes``.
 ``verify_swap_automorphism`` checks a transposition against the edge set
 directly.
+
+Line-by-line parsers: ``reference_parse_lad`` / ``reference_parse_edgelist``
+convert and check each token on its own and build the Graph from an edge
+list, as the package's parsers did before they read in bulk. The tests hold
+those to them, graph for graph and error line for error line.
+
+Test-only helpers: ``degree``, ``in_neighbors``, ``has_loops``,
+``are_symmetric``, ``kind_of``, ``to_lad``, ``to_edgelist`` and
+``induced_subgraph`` build inputs and state expectations; the package does
+not use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from mcis import Graph, SymmetryClasses, compute_symmetry_classes, value_order_ranks
+from mcis import (
+    Graph,
+    GraphParseError,
+    SymmetryClasses,
+    compute_symmetry_classes,
+    value_order_ranks,
+)
 from mcis.symmetry import NEGATIVE, POSITIVE
 
 
@@ -68,12 +84,12 @@ def select_bidomain(partition: list[Bidomain]) -> int:
 
 def select_vertex(bd: Bidomain, g: Graph) -> int:
     """Branching vertex: maximum degree in G, ties to the lowest id."""
-    return max(bd.gs, key=lambda v: (g.degree(v), -v))
+    return max(bd.gs, key=lambda v: (degree(g, v), -v))
 
 
 def order_values(bd: Bidomain, h: Graph, classes_h: SymmetryClasses) -> list[int]:
     """Candidate values of the bidomain in the fixed value order."""
-    return sorted(bd.hs, key=lambda u: (-h.degree(u), classes_h.class_id[u], u))
+    return sorted(bd.hs, key=lambda u: (-degree(h, u), classes_h.class_id[u], u))
 
 
 def var_sym_prunable(
@@ -163,7 +179,7 @@ class NeighborhoodKey(NamedTuple):
 
 def _neighborhood_key(g: Graph, v: int, kind: str) -> NeighborhoodKey:
     sentinel = g.n
-    ins = g.in_neighbors(v)
+    ins = in_neighbors(g, v)
     outs = g.neighbors(v) if g.directed else ins
     if kind == POSITIVE:
         ins = sorted(ins + [v])
@@ -183,8 +199,6 @@ def negative_neighborhood(g: Graph, v: int) -> NeighborhoodKey:
 def positive_neighborhood(g: Graph, v: int) -> NeighborhoodKey:
     """Closed-neighborhood key of v (the vertex itself included)."""
     return _neighborhood_key(g, v, POSITIVE)
-
-
 
 
 def verify_swap_automorphism(g: Graph, u: int, v: int) -> bool:
@@ -341,3 +355,201 @@ def reference_classes(g):
         class_members[cid] = tuple(group)
         class_kind[cid] = kind
     return class_id, class_members, class_kind
+
+
+# -- test-only graph helpers -------------------------------------------------
+
+
+def degree(g: Graph, v: int) -> int:
+    """Neighbor count; for directed graphs, in-degree plus out-degree."""
+    d = g.out_bits[v].bit_count()
+    if g.directed:
+        d += g.in_bits[v].bit_count()
+    return d
+
+
+def in_neighbors(g: Graph, v: int) -> list[int]:
+    """In-neighbors of v in ascending order (loops excluded)."""
+    return [w for w in range(g.n) if g.in_bits[v] >> w & 1]
+
+
+def has_loops(g: Graph) -> bool:
+    return any(g.loops)
+
+
+def are_symmetric(classes: SymmetryClasses, u: int, v: int) -> bool:
+    """O(1) interchangeability test; false for u == v and for singletons."""
+    if u == v:
+        return False
+    return classes.class_id[u] == classes.class_id[v]
+
+
+def kind_of(classes: SymmetryClasses, v: int) -> str:
+    return classes.class_kind[classes.class_id[v]]
+
+
+def to_lad(g: Graph) -> str:
+    """Serialize an undirected graph to LAD text; parse_lad round-trips it."""
+    if g.directed:
+        raise ValueError("LAD format is undirected only")
+    rows = [str(g.n)]
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        if g.loops[v]:
+            nbrs = sorted(nbrs + [v])
+        rows.append(" ".join([str(len(nbrs))] + [str(w) for w in nbrs]))
+    return "\n".join(rows) + "\n"
+
+
+def to_edgelist(g: Graph) -> str:
+    """Serialize to edge-list text; parse_edgelist round-trips it.
+
+    Always emits numeric ids: symbolic names cannot in general be re-interned
+    to the same ids, so they are treated as display metadata only.
+    """
+    edges = g.edges()
+    rows = [f"{g.n} {len(edges)}"]
+    rows.extend(f"{a} {b}" for a, b in edges)
+    return "\n".join(rows) + "\n"
+
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced by ``vertices``, relabelled 0.. in ascending order."""
+    vs = sorted(set(vertices))
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = []
+    for v in vs:
+        if g.loops[v]:
+            edges.append((index[v], index[v]))
+        for w in g.neighbors(v):
+            if w in index and (g.directed or v < w):
+                edges.append((index[v], index[w]))
+    names = [g.display_name(v) for v in vs] if g.names is not None else None
+    return Graph(len(vs), edges, directed=g.directed, names=names)
+
+
+# -- line-by-line parsers ----------------------------------------------------
+
+
+def _split_lines(text: str) -> list[tuple[int, list[str]]]:
+    """Non-blank lines as (1-based line number, tokens)."""
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if toks:
+            out.append((i, toks))
+    return out
+
+
+def reference_parse_lad(text: str) -> Graph:
+    """Line-by-line LAD parser: one int() and one range check per token."""
+    lines = _split_lines(text)
+    if not lines:
+        raise GraphParseError(1, "empty input, expected a vertex count")
+    ln, toks = lines[0]
+    if len(toks) != 1:
+        raise GraphParseError(ln, "expected a single vertex-count token")
+    try:
+        n = int(toks[0])
+    except ValueError:
+        raise GraphParseError(ln, f"vertex count is not an integer: {toks[0]!r}") from None
+    if n < 0:
+        raise GraphParseError(ln, "vertex count must be non-negative")
+    if len(lines) - 1 < n:
+        raise GraphParseError(
+            lines[-1][0], f"truncated input: expected {n} adjacency rows, found {len(lines) - 1}"
+        )
+    if len(lines) - 1 > n:
+        raise GraphParseError(lines[n + 1][0], f"unexpected extra row, expected {n} adjacency rows")
+
+    edges = []
+    for v in range(n):
+        ln, toks = lines[v + 1]
+        try:
+            row = [int(t) for t in toks]
+        except ValueError:
+            raise GraphParseError(ln, f"non-integer token in adjacency row {v}") from None
+        if row[0] != len(row) - 1:
+            raise GraphParseError(
+                ln, f"row {v} declares {row[0]} neighbors but lists {len(row) - 1}"
+            )
+        for w in row[1:]:
+            if not 0 <= w < n:
+                raise GraphParseError(ln, f"neighbor index {w} out of range for n={n}")
+            edges.append((v, w))
+    return Graph(n, edges)
+
+
+def reference_parse_edgelist(text: str, directed: bool = False, allow_loops: bool = False) -> Graph:
+    """Line-by-line edge-list parser: every token is classified and checked
+    on its own, in order.
+
+    Vertex tokens must be either all numeric (interpreted as ids below n)
+    or all symbolic names, which are interned in order of first appearance.
+    A line ``a a`` is only accepted when ``allow_loops`` is set.
+    """
+    lines = _split_lines(text)
+    if not lines:
+        raise GraphParseError(1, "empty input, expected an 'n m' header")
+    ln, toks = lines[0]
+    if len(toks) != 2:
+        raise GraphParseError(ln, "expected header with exactly two tokens: n m")
+    try:
+        n, m = int(toks[0]), int(toks[1])
+    except ValueError:
+        raise GraphParseError(ln, "header tokens must be integers") from None
+    if n < 0 or m < 0:
+        raise GraphParseError(ln, "header counts must be non-negative")
+    if len(lines) - 1 != m:
+        raise GraphParseError(
+            lines[-1][0] if len(lines) > 1 else ln,
+            f"expected {m} edge lines, found {len(lines) - 1}",
+        )
+
+    numeric: bool | None = None
+    names: dict[str, int] = {}
+
+    def vertex(tok: str, ln: int) -> int:
+        nonlocal numeric
+        is_num = tok.lstrip("-").isdigit()
+        if numeric is None:
+            numeric = is_num
+        elif numeric != is_num:
+            raise GraphParseError(ln, "cannot mix numeric ids and symbolic names")
+        if is_num:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise GraphParseError(ln, f"vertex id {tok!r} is not an integer") from None
+            if not 0 <= v < n:
+                raise GraphParseError(ln, f"vertex id {v} out of range for n={n}")
+            return v
+        if tok not in names:
+            if len(names) == n:
+                raise GraphParseError(ln, f"more than {n} distinct vertex names")
+            names[tok] = len(names)
+        return names[tok]
+
+    edges = []
+    for ln, toks in lines[1:]:
+        if len(toks) != 2:
+            raise GraphParseError(ln, "expected exactly two vertex tokens")
+        a = vertex(toks[0], ln)
+        b = vertex(toks[1], ln)
+        if a == b and not allow_loops:
+            raise GraphParseError(ln, f"self-loop {toks[0]!r} not allowed here")
+        edges.append((a, b))
+
+    name_table = None
+    if names:
+        name_table = [""] * n
+        for tok, v in names.items():
+            name_table[v] = tok
+        for v in range(n):
+            if not name_table[v]:
+                name_table[v] = str(v)
+    return Graph(n, edges, directed=directed, names=name_table)

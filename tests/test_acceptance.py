@@ -17,6 +17,7 @@ from conftest import run_corpus
 from corpus import random_graph
 from known_instance import G_CLASSES, H_CLASSES, OPTIMUM, graph_g, graph_h
 from reference import (
+    are_symmetric,
     enumerate_tree,
     negative_neighborhood,
     positive_neighborhood,
@@ -28,7 +29,6 @@ from mcis import (
     CONFIG_NAMES,
     Graph,
     SolverConfig,
-    are_symmetric,
     brute_force_mcis,
     compute_symmetry_classes,
     solve,

@@ -12,9 +12,9 @@ from mcis import (
     aggregate_reports,
     run_batch,
     run_instance,
-    to_lad,
 )
 from mcis.bench import _curve_bounds, load_graph, read_manifest
+from reference import to_lad
 
 K3_LAD = "3\n2 1 2\n2 0 2\n2 0 1\n"
 P3_LAD = "3\n1 1\n2 0 2\n1 1\n"

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from mcis import Graph, to_lad
+from mcis import Graph
 from mcis.cli import main
+from reference import to_lad
 
 K3_LAD = "3\n2 1 2\n2 0 2\n2 0 1\n"
 

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from known_instance import WITNESS, graph_g, graph_h
-from mcis import (
-    Graph,
-    GraphParseError,
+from mcis import Graph, GraphParseError, is_isomorphism, parse_edgelist, parse_lad
+from reference import (
+    degree,
+    has_loops,
+    in_neighbors,
     induced_subgraph,
-    is_isomorphism,
-    parse_edgelist,
-    parse_lad,
+    reference_parse_edgelist,
+    reference_parse_lad,
     to_edgelist,
     to_lad,
 )
@@ -52,7 +53,7 @@ def test_undirected_adjacency_is_symmetric():
 def test_directed_adjacency_is_one_way():
     g = Graph(2, [(0, 1)], directed=True)
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
-    assert g.neighbors(0) == [1] and g.in_neighbors(1) == [0]
+    assert g.neighbors(0) == [1] and in_neighbors(g, 1) == [0]
 
 
 def test_loops_live_in_flag_not_rows():
@@ -60,13 +61,13 @@ def test_loops_live_in_flag_not_rows():
     assert g.loops[0] and not g.loops[1]
     assert g.has_edge(0, 0) and not g.has_edge(1, 1)
     assert g.neighbors(0) == [1]  # loop not in the adjacency row
-    assert g.has_loops
+    assert has_loops(g)
 
 
 def test_degree_directed_counts_both_directions():
     g = Graph(3, [(0, 1), (2, 0)], directed=True)
-    assert g.degree(0) == 2
-    assert g.degree(1) == 1
+    assert degree(g, 0) == 2
+    assert degree(g, 1) == 1
 
 
 def test_edges_canonical_order_with_loops():
@@ -174,17 +175,26 @@ def test_parse_edgelist_errors(text):
         parse_edgelist(text)
 
 
-# tokens stay at most three characters long, so no header asks for a big graph
+# tokens stay at most three characters long, so no header asks for a big
+# graph; "+1", "1_0" and "-0" are ids to int() but not to the edge-list rule
 _tokens = st.one_of(
     st.integers(-2, 9).map(str),
-    st.sampled_from(["a", "²", "--1", "+1", "٣"]),
+    st.sampled_from(["a", "²", "--1", "+1", "٣", "1_0", "-0"]),
     st.text(max_size=3),
 )
+# edge lines take an id that fits a small header half of the time, so whole
+# files parse often enough for a stray token to be the only fault
+_edge_tokens = st.one_of(st.integers(0, 3).map(str), _tokens)
 
 
 @st.composite
 def _graph_texts(draw):
-    """Text near both formats: headers that often fit the body, LAD-like rows."""
+    """Text near both formats: edge lines of two tokens under an ``n m``
+    header, or headers that often fit the body and LAD-like rows."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(_edge_tokens, min_size=2, max_size=2), max_size=6))
+        header = [str(draw(st.integers(0, 6))), str(len(rows))]
+        return "\n".join(" ".join(r) for r in [header] + rows)
     rows = draw(st.lists(st.lists(_tokens, min_size=1, max_size=3), max_size=6))
     if draw(st.booleans()):
         rows = [[str(len(r))] + r for r in rows]
@@ -206,6 +216,55 @@ def test_parsers_raise_only_graph_parse_error(text, directed, loops):
             parse(text)
         except GraphParseError:
             pass
+
+
+def _outcome(parse, text):
+    """The graph and names a parser returns, or its error's line and message."""
+    try:
+        g = parse(text)
+    except GraphParseError as exc:
+        return exc.line_no, str(exc)
+    return g, g.names
+
+
+@settings(max_examples=500)
+@given(_graph_texts(), st.booleans(), st.booleans())
+def test_parsers_match_the_line_by_line_oracles(text, directed, loops):
+    assert _outcome(parse_lad, text) == _outcome(reference_parse_lad, text)
+    assert _outcome(
+        lambda t: parse_edgelist(t, directed=directed, allow_loops=loops), text
+    ) == _outcome(lambda t: reference_parse_edgelist(t, directed=directed, allow_loops=loops), text)
+
+
+@pytest.mark.parametrize(
+    "text,names",
+    [
+        ("5 1\n+3 +4\n", ["+3", "+4", "2", "3", "4"]),
+        ("2 1\n1_000 x\n", ["1_000", "x"]),
+    ],
+)
+def test_edgelist_plus_and_underscore_tokens_are_names(text, names):
+    g = parse_edgelist(text)
+    assert g.names == names and g.has_edge(0, 1)
+
+
+@pytest.mark.parametrize("text", ["2 1\n1_000 3\n", "5 1\n3 +4\n", "5 2\n+3 +4\n0 1\n"])
+def test_edgelist_plus_and_underscore_tokens_do_not_mix_with_ids(text):
+    with pytest.raises(GraphParseError, match="cannot mix") as exc:
+        parse_edgelist(text)
+    assert exc.value.line_no == len(text.splitlines())
+
+
+def test_edgelist_minus_zero_is_vertex_zero():
+    assert parse_edgelist("2 1\n-0 1\n") == Graph(2, [(0, 1)])
+    with pytest.raises(GraphParseError, match="self-loop"):
+        parse_edgelist("2 1\n0 -0\n")
+
+
+def test_parsed_undirected_rows_are_one_list():
+    # undirected graphs share one row list, as Graph(n, edges) builds them
+    for g in (parse_lad("2\n1 1\n1 0\n"), parse_edgelist("2 1\n0 1\n")):
+        assert g.in_bits is g.out_bits
 
 
 # -- serialization round-trips -----------------------------------------------

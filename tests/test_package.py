@@ -11,18 +11,14 @@ PUBLIC_NAMES = [
     "SolverConfig",
     "SymmetryClasses",
     "aggregate_reports",
-    "are_symmetric",
     "brute_force_mcis",
     "compute_symmetry_classes",
-    "induced_subgraph",
     "is_isomorphism",
     "parse_edgelist",
     "parse_lad",
     "run_batch",
     "run_instance",
     "solve",
-    "to_edgelist",
-    "to_lad",
     "value_order_ranks",
 ]
 

@@ -14,7 +14,6 @@ from mcis import (
     SolverConfig,
     brute_force_mcis,
     compute_symmetry_classes,
-    induced_subgraph,
     is_isomorphism,
     solve,
     value_order_ranks,
@@ -22,6 +21,8 @@ from mcis import (
 from mcis.solver import _split
 from reference import (
     Bidomain,
+    degree,
+    induced_subgraph,
     initial_partition,
     order_values,
     reference_solve,
@@ -138,7 +139,7 @@ def test_value_order_ranks_is_permutation():
     ranks = value_order_ranks(h, compute_symmetry_classes(h))
     assert sorted(ranks) == list(range(h.n))
     # highest degree vertex gets rank 0
-    top = max(range(h.n), key=lambda u: (h.degree(u), -u))
+    top = max(range(h.n), key=lambda u: (degree(h, u), -u))
     assert ranks[top] == 0
 
 
@@ -529,6 +530,26 @@ def _graph_pairs(draw, max_n=14):
         return Graph(n, edges, directed=directed)
 
     return side(), side()
+
+
+def _reference_ranks(h):
+    """Each vertex's position in the reference value order over all of h."""
+    order = order_values(Bidomain([], list(range(h.n))), h, compute_symmetry_classes(h))
+    return [order.index(u) for u in range(h.n)]
+
+
+def test_value_order_ranks_match_reference_on_corpus():
+    # the corpus mixes directed graphs, loops and twins of both kinds
+    for pair in corpus_pairs():
+        for h in (pair.g, pair.h):
+            assert value_order_ranks(h, compute_symmetry_classes(h)) == _reference_ranks(h), pair.index
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_pairs())
+def test_value_order_ranks_match_reference_property(pair):
+    for h in pair:
+        assert value_order_ranks(h, compute_symmetry_classes(h)) == _reference_ranks(h)
 
 
 @settings(max_examples=100, deadline=None)
