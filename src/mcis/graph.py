@@ -71,24 +71,13 @@ class Graph:
         self.n = n
         self.directed = directed
         self.names = list(names) if names is not None else None
-        if rows is not None:
-            self.out_bits, self.in_bits, self.loops = rows
-            return
-        out = [0] * n
-        inn = [0] * n if directed else out
-        loops = [False] * n
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
-            if a == b:
-                loops[a] = True
-                continue
-            out[a] |= 1 << b
-            # undirected: inn is out, so this also stores b->a
-            inn[b] |= 1 << a
-        self.out_bits = out
-        self.in_bits = inn
-        self.loops = loops
+        if rows is None:
+            edges = list(edges)
+            for a, b in edges:
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+            rows = _rows(n, edges, directed)
+        self.out_bits, self.in_bits, self.loops = rows
 
     # -- basic queries ----------------------------------------------------
 
@@ -155,8 +144,8 @@ def _split_lines(text: str) -> tuple[list[list[str]], list[int]]:
     return list(filter(None, split)), list(compress(range(1, len(split) + 1), split))
 
 
-def _rows(n: int, heads: list[int], tails: list[int], directed: bool):
-    """``(out_bits, in_bits, loops)`` of the arcs ``heads[i] -> tails[i]``.
+def _rows(n: int, arcs: Iterable[tuple[int, int]], directed: bool):
+    """``(out_bits, in_bits, loops)`` of the arcs ``(a, b)``, each a -> b.
 
     Every id must lie in ``0..n-1``. Undirected rows get both directions,
     so a repeated or reversed pair gives the same edge. A pair ``(v, v)``
@@ -167,7 +156,7 @@ def _rows(n: int, heads: list[int], tails: list[int], directed: bool):
     bits = [1 << v for v in range(n)]
     out = [0] * n
     inn = [0] * n if directed else out
-    for a, b in zip(heads, tails):
+    for a, b in arcs:
         out[a] |= bits[b]
         # undirected: inn is out, so this also stores b->a
         inn[b] |= bits[a]
@@ -186,7 +175,7 @@ def parse_lad(text: str) -> Graph:
     repeated mention gives the same edge.
     """
     n, owners, nbrs = _read_lad(text)
-    return Graph(n, rows=_rows(n, owners, nbrs, False))
+    return Graph(n, rows=_rows(n, zip(owners, nbrs), False))
 
 
 def _read_lad(text: str) -> tuple[int, list[int], list[int]]:
@@ -257,7 +246,7 @@ def parse_edgelist(text: str, directed: bool = False, allow_loops: bool = False)
     n, ids, names = _read_edgelist(text, allow_loops)
     if names is not None:
         names += map(str, range(len(names), n))
-    return Graph(n, directed=directed, names=names, rows=_rows(n, ids[0::2], ids[1::2], directed))
+    return Graph(n, directed=directed, names=names, rows=_rows(n, zip(ids[0::2], ids[1::2]), directed))
 
 
 def _read_edgelist(text: str, allow_loops: bool) -> tuple[int, list[int], list[str] | None]:
