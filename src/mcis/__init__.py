@@ -2,14 +2,7 @@
 
 from .graph import Graph, GraphParseError, is_isomorphism, parse_edgelist, parse_lad
 from .symmetry import SymmetryClasses, compute_symmetry_classes
-from .solver import (
-    CONFIG_NAMES,
-    SearchStats,
-    Solution,
-    SolverConfig,
-    solve,
-    value_order_ranks,
-)
+from .solver import CONFIG_NAMES, SearchStats, Solution, SolverConfig, solve
 from .oracle import OracleResult, brute_force_mcis
 from .bench import InstanceReport, aggregate_reports, run_batch, run_instance
 
@@ -28,7 +21,6 @@ __all__ = [
     "Solution",
     "CONFIG_NAMES",
     "solve",
-    "value_order_ranks",
     "OracleResult",
     "brute_force_mcis",
     "InstanceReport",

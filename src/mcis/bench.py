@@ -13,8 +13,8 @@ out-pruned the bound.
 from __future__ import annotations
 
 import json
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -223,8 +223,11 @@ def run_batch(
         configs = ["dual", "none"]
     if not configs:
         raise ValueError("at least one config is required")
-    # built before anything is written, so a bad name or timeout writes nothing
+    # checked before anything is written, so a bad name or timeout writes
+    # nothing; the solved-curve grid and summary.json need a finite timeout
     solver_configs = [SolverConfig.from_name(c, timeout=timeout) for c in configs]
+    if not math.isfinite(timeout):
+        raise ValueError("timeout must be finite")
     if jobs is None:
         jobs = os.cpu_count() or 1
 
@@ -237,6 +240,9 @@ def run_batch(
     if jobs <= 1 or len(tasks) <= 1:
         reports = [_run_task(t) for t in tasks]
     else:
+        # imported here, so a serial batch or a single solve loads no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_task, tasks))
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from operator import add, neg
 from time import perf_counter
 
-from .graph import Graph
+from .graph import Graph, _relabel_row
 from .symmetry import SymmetryClasses, compute_symmetry_classes
 
 # (var_sym, val_sym) of each standard rule combination, by name
@@ -105,10 +105,6 @@ class Solution:
     mapping: list[tuple[int, int]]
     stats: SearchStats
 
-    @property
-    def size(self) -> int:
-        return len(self.mapping)
-
 
 def _degrees(g: Graph) -> list[int]:
     """Neighbor count of every vertex; for directed graphs, in plus out."""
@@ -129,21 +125,17 @@ def _positions(order: list[int]) -> list[int]:
 def _value_order(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     """H's vertices in the fixed value order: degree descending, then class
     id, then id. Class ids lie below n, so one int key orders by the first
-    two, and the stable sort keeps id order among equal keys."""
+    two, and the stable sort keeps id order among equal keys.
+
+    A vertex's position in this order is its rank: lower means tried
+    earlier and considered smaller by the pruning rules, and ``None``
+    (unmatched) is larger than every rank. Interchangeable vertices share
+    degree and class, so they are consecutive and fall back to id order
+    among themselves.
+    """
     n = h.n
     keys = [c - d * n for d, c in zip(_degrees(h), classes_h.class_id)]
     return sorted(range(n), key=keys.__getitem__)
-
-
-def value_order_ranks(h: Graph, classes_h: SymmetryClasses) -> list[int]:
-    """Position of each H-vertex in the fixed value order.
-
-    Lower rank means tried earlier and considered smaller by the pruning
-    rules; ``None`` (unmatched) is larger than every rank. Interchangeable
-    vertices share degree and class, so they are consecutive and fall back
-    to id order among themselves.
-    """
-    return _positions(_value_order(h, classes_h))
 
 
 def _split(bds, g_row, h_row):
@@ -171,16 +163,6 @@ def _split(bds, g_row, h_row):
             out.append((g1, h1, gl, hl))
             total += gl if gl < hl else hl
     return out, total
-
-
-def _relabel_row(row: int, new_id: list[int]) -> int:
-    """One adjacency row with every set bit w moved to new_id[w]."""
-    out = 0
-    while row:
-        low = row & -row
-        out |= 1 << new_id[low.bit_length() - 1]
-        row ^= low
-    return out
 
 
 def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:

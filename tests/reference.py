@@ -19,6 +19,12 @@ bitset-row grouping of ``compute_symmetry_classes``.
 ``verify_swap_automorphism`` checks a transposition against the edge set
 directly.
 
+Value order and mapping check: ``reference_ranks`` places each H-vertex in
+the value order ``order_values`` defines, the ranks the reference search
+and the acceptance checks compare values by. ``reference_is_isomorphism``
+checks a mapping pair against pair with ``has_edge``, the readable
+definition the row check of ``mcis.is_isomorphism`` is held to.
+
 Line-by-line parsers: ``reference_parse_lad`` / ``reference_parse_edgelist``
 convert and check each token on its own and build the Graph from an edge
 list, as the package's parsers did before they read in bulk. The tests hold
@@ -40,7 +46,6 @@ from mcis import (
     GraphParseError,
     SymmetryClasses,
     compute_symmetry_classes,
-    value_order_ranks,
 )
 from mcis.symmetry import NEGATIVE, POSITIVE
 
@@ -90,6 +95,16 @@ def select_vertex(bd: Bidomain, g: Graph) -> int:
 def order_values(bd: Bidomain, h: Graph, classes_h: SymmetryClasses) -> list[int]:
     """Candidate values of the bidomain in the fixed value order."""
     return sorted(bd.hs, key=lambda u: (-degree(h, u), classes_h.class_id[u], u))
+
+
+def reference_ranks(h: Graph) -> list[int]:
+    """Each vertex's position in the reference value order over all of h.
+
+    Lower rank means tried earlier and considered smaller by the pruning
+    rules; ``None`` (unmatched) is larger than every rank.
+    """
+    order = order_values(Bidomain([], list(range(h.n))), h, compute_symmetry_classes(h))
+    return [order.index(u) for u in range(h.n)]
 
 
 def var_sym_prunable(
@@ -222,6 +237,27 @@ def verify_swap_automorphism(g: Graph, u: int, v: int) -> bool:
     return True
 
 
+def reference_is_isomorphism(g: Graph, h: Graph, mapping) -> bool:
+    """``mcis.is_isomorphism`` as its definition: every pair of matched
+    pairs is compared with two edge tests, and both ways for directed
+    graphs, after the loop-flag and injectivity rules."""
+    pairs = [(v, u) for v, u in mapping if u is not None]
+    if len({v for v, _ in pairs}) < len(pairs) or len({u for _, u in pairs}) < len(pairs):
+        return False
+    for v, u in pairs:
+        if g.loops[v] != h.loops[u]:
+            return False
+    for i in range(len(pairs)):
+        v1, u1 = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            v2, u2 = pairs[j]
+            if g.has_edge(v1, v2) != h.has_edge(u1, u2):
+                return False
+            if g.directed and g.has_edge(v2, v1) != h.has_edge(u2, u1):
+                return False
+    return True
+
+
 def _without(partition, i, v, u):
     """Copy of the partition with v and u dropped from bidomain i."""
     out = []
@@ -237,7 +273,7 @@ def reference_solve(g, h, config):
     """Same search as mcis.solve, on plain list bidomains. Returns (mapping, stats)."""
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
-    rank = value_order_ranks(h, classes_h)
+    rank = reference_ranks(h)
     stats = {"branches": 0, "bound_prunes": 0, "var_sym_prunes": 0, "val_sym_prunes": 0,
              "incumbent_size": 0, "branches_to_best": 0}
     best_mapping: list[tuple[int, int]] = []
@@ -291,7 +327,7 @@ def enumerate_tree(g, h, on_node=None, collect_branches=None):
     """
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
-    rank = value_order_ranks(h, classes_h)
+    rank = reference_ranks(h)
     mapping: list[tuple[int, int | None]] = []
 
     def walk(partition, parent_ub, var_fired, val_fired):

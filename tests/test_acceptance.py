@@ -22,6 +22,7 @@ from reference import (
     negative_neighborhood,
     positive_neighborhood,
     reference_classes,
+    reference_ranks,
     verify_swap_automorphism,
 )
 
@@ -32,7 +33,6 @@ from mcis import (
     brute_force_mcis,
     compute_symmetry_classes,
     solve,
-    value_order_ranks,
 )
 
 
@@ -252,7 +252,7 @@ def _minimal_branch_violations(g: Graph, h: Graph) -> tuple[int, int]:
     """
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
-    rank = value_order_ranks(h, classes_h)
+    rank = reference_ranks(h)
     bot = h.n
 
     branches: list = []

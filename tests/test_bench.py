@@ -304,3 +304,12 @@ def test_run_batch_rejects_nan_timeout(tmp_path):
     with pytest.raises(ValueError, match="timeout"):
         run_batch(man, configs=["dual"], jobs=1, out_dir=tmp_path / "o", timeout=float("nan"))
     assert not (tmp_path / "o").exists()
+
+
+def test_run_batch_rejects_infinite_timeout(tmp_path):
+    # the solved-curve grid would never end, and summary.json would hold
+    # a bare Infinity
+    man = write(tmp_path / "m.txt", "")
+    with pytest.raises(ValueError, match="timeout must be finite"):
+        run_batch(man, configs=["dual"], jobs=1, out_dir=tmp_path / "o", timeout=float("inf"))
+    assert not (tmp_path / "o").exists()

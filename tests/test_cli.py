@@ -79,6 +79,12 @@ def test_solve_timeout_exit_code(capsys, tmp_path):
     assert json.loads(out)["completed"] is False
 
 
+def test_solve_accepts_infinite_timeout(capsys, k3):
+    code, out, _ = run(capsys, "solve", k3, k3, "--timeout", "inf")
+    assert code == 0
+    assert json.loads(out)["incumbent_size"] == 3
+
+
 def test_solve_parse_error_goes_to_stderr(capsys, tmp_path):
     bad = write(tmp_path / "bad.lad", "2\n1 7\n1 0\n")
     good = write(tmp_path / "k3.lad", K3_LAD)
@@ -182,3 +188,14 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["incumbent_size"] == 3
+
+
+def test_import_loads_no_process_pool():
+    # only a parallel batch needs the pool; a single solve never does
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mcis.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from reference import (
     has_loops,
     in_neighbors,
     induced_subgraph,
+    reference_is_isomorphism,
     reference_parse_edgelist,
     reference_parse_lad,
     to_edgelist,
@@ -42,6 +43,16 @@ def test_graph_rejects_out_of_range_edge():
 def test_graph_rejects_negative_n():
     with pytest.raises(ValueError):
         Graph(-1)
+
+
+def test_graph_rejects_short_name_table():
+    with pytest.raises(ValueError, match="name table length"):
+        Graph(2, names=["a"])
+
+
+def test_graph_repr():
+    assert repr(Graph(3, [(0, 1), (1, 2)])) == "Graph(n=3, m=2, undirected)"
+    assert repr(Graph(2, [(0, 1), (1, 0), (1, 1)], directed=True)) == "Graph(n=2, m=3, directed)"
 
 
 def test_undirected_adjacency_is_symmetric():
@@ -159,6 +170,7 @@ def test_parse_edgelist_named_vertices_intern_in_order():
     [
         "",
         "3\n",  # header needs two tokens
+        "-1 0\n",  # header counts must be non-negative
         "a b\n",
         "2 1\n0 3\n",  # id out of range
         "2 1\n0 x\n",  # mixing ids and names
@@ -337,6 +349,13 @@ def test_is_isomorphism_checks_both_directions():
     assert is_isomorphism(g, h, [(0, 1), (1, 0)])
 
 
+def test_is_isomorphism_checks_reverse_arcs():
+    # the forward arc 0->1 agrees; only the reverse arc 1->0 differs
+    g = Graph(2, [(0, 1), (1, 0)], directed=True)
+    h = Graph(2, [(0, 1)], directed=True)
+    assert not is_isomorphism(g, h, [(0, 0), (1, 1)])
+
+
 def test_is_isomorphism_loop_flags_must_agree():
     g = Graph(1, [(0, 0)])
     h = Graph(1)
@@ -359,3 +378,29 @@ def test_induced_relabelling_is_isomorphism(g, rng):
     vs = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
     sub = induced_subgraph(g, vs)
     assert is_isomorphism(g, sub, [(v, i) for i, v in enumerate(vs)])
+
+
+@st.composite
+def _mappings(draw):
+    """A graph pair of one kind and a mapping between them: half the time
+    injective, else any pairs, repeated vertices included; either kind
+    may hold ``None`` values."""
+    directed = draw(st.booleans())
+    g = draw(graphs(directed=directed, loops=True, max_n=7))
+    h = draw(graphs(directed=directed, loops=True, max_n=7))
+    if draw(st.booleans()):
+        # injective, so the edge and loop rules decide
+        vs = draw(st.permutations(range(g.n)))
+        us = draw(st.permutations(range(h.n)))
+        mapping = [(v, draw(st.sampled_from([u, None]))) for v, u in zip(vs, us)]
+    else:
+        pair = st.tuples(st.integers(0, g.n - 1), st.none() | st.integers(0, h.n - 1))
+        mapping = draw(st.lists(pair, max_size=g.n + 1))
+    return g, h, mapping
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mappings())
+def test_is_isomorphism_matches_reference(case):
+    g, h, mapping = case
+    assert is_isomorphism(g, h, mapping) == reference_is_isomorphism(g, h, mapping)

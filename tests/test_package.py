@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "run_batch",
     "run_instance",
     "solve",
-    "value_order_ranks",
 ]
 
 

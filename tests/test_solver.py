@@ -16,15 +16,15 @@ from mcis import (
     compute_symmetry_classes,
     is_isomorphism,
     solve,
-    value_order_ranks,
 )
-from mcis.solver import _split
+from mcis.solver import _split, _value_order
 from reference import (
     Bidomain,
     degree,
     induced_subgraph,
     initial_partition,
     order_values,
+    reference_ranks,
     reference_solve,
     refine_partition,
     select_bidomain,
@@ -136,11 +136,11 @@ def test_order_values_singleton():
 
 def test_value_order_ranks_is_permutation():
     h = graph_h()
-    ranks = value_order_ranks(h, compute_symmetry_classes(h))
-    assert sorted(ranks) == list(range(h.n))
+    order = _value_order(h, compute_symmetry_classes(h))
+    assert sorted(order) == list(range(h.n))
     # highest degree vertex gets rank 0
     top = max(range(h.n), key=lambda u: (degree(h, u), -u))
-    assert ranks[top] == 0
+    assert order[0] == top
 
 
 # -- pruning predicates ------------------------------------------------------
@@ -149,7 +149,7 @@ def test_value_order_ranks_is_permutation():
 def test_var_sym_after_sibling_left_unmatched():
     g = graph_g()
     classes = compute_symmetry_classes(g)
-    rank = value_order_ranks(graph_h(), compute_symmetry_classes(graph_h()))
+    rank = reference_ranks(graph_h())
     # 7 and 9 interchangeable: leaving 7 unmatched forbids any real value for 9
     assert var_sym_prunable([(7, None)], 9, 5, classes, rank)
     # the mirror case: 7 took a value, unmatching 9 is still allowed
@@ -159,7 +159,7 @@ def test_var_sym_after_sibling_left_unmatched():
 def test_var_sym_empty_mapping_never_fires():
     g = graph_g()
     classes = compute_symmetry_classes(g)
-    rank = value_order_ranks(graph_h(), compute_symmetry_classes(graph_h()))
+    rank = reference_ranks(graph_h())
     for u in (None, 0, 5):
         assert not var_sym_prunable([], 9, u, classes, rank)
 
@@ -167,7 +167,7 @@ def test_var_sym_empty_mapping_never_fires():
 def test_var_sym_requires_interchangeable_sibling():
     g = graph_g()
     classes = compute_symmetry_classes(g)
-    rank = value_order_ranks(graph_h(), compute_symmetry_classes(graph_h()))
+    rank = reference_ranks(graph_h())
     # 0 and 9 are not interchangeable in G
     assert not var_sym_prunable([(0, None)], 9, 5, classes, rank)
 
@@ -175,7 +175,7 @@ def test_var_sym_requires_interchangeable_sibling():
 def test_var_sym_orders_values_within_class():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     classes = compute_symmetry_classes(star)
-    rank = value_order_ranks(star, classes)
+    rank = reference_ranks(star)
     # leaves 1,2,3 interchangeable; sibling 1 holds value 2, so value 1 is out
     assert var_sym_prunable([(1, 2)], 2, 1, classes, rank)
     assert not var_sym_prunable([(1, 2)], 2, 3, classes, rank)
@@ -266,18 +266,18 @@ def test_refine_asymmetric_buckets_are_dropped_separately():
 def test_solve_identical_triangles():
     for name in CONFIG_NAMES:
         sol = solve(k(3), k(3), SolverConfig.from_name(name))
-        assert sol.size == 3
+        assert len(sol.mapping) == 3
         assert is_isomorphism(k(3), k(3), sol.mapping)
 
 
 def test_solve_path_in_triangle():
     p3 = Graph(3, [(0, 1), (1, 2)])
-    assert solve(p3, k(3)).size == 2
+    assert len(solve(p3, k(3)).mapping) == 2
 
 
 def test_solve_single_vertices():
     sol = solve(Graph(1), Graph(1))
-    assert sol.size == 1
+    assert len(sol.mapping) == 1
     assert sol.stats.branches >= 1
 
 
@@ -292,7 +292,7 @@ def test_solve_known_instance_optimum_and_branches():
     g, h = graph_g(), graph_h()
     for name in CONFIG_NAMES:
         sol = solve(g, h, SolverConfig.from_name(name))
-        assert sol.size == OPTIMUM
+        assert len(sol.mapping) == OPTIMUM
         assert is_isomorphism(g, h, sol.mapping)
         # pins the deterministic traversal; changing any ordering breaks this
         assert sol.stats.branches == BRANCHES[name]
@@ -301,7 +301,7 @@ def test_solve_known_instance_optimum_and_branches():
 def test_solve_mapping_matches_incumbent_size():
     g, h = graph_g(), graph_h()
     sol = solve(g, h)
-    assert len(sol.mapping) == sol.stats.incumbent_size == sol.size
+    assert len(sol.mapping) == sol.stats.incumbent_size
     assert sol.stats.branches_to_best <= sol.stats.branches
     assert sol.stats.completed
 
@@ -311,15 +311,15 @@ def test_solve_loops_only_match_loops():
     h = Graph(2)
     # no vertex is matchable at all
     sol = solve(g, h)
-    assert sol.size == 0
-    assert solve(g, Graph(2, [(0, 0)])).size == 1
+    assert len(sol.mapping) == 0
+    assert len(solve(g, Graph(2, [(0, 0)])).mapping) == 1
 
 
 def test_solve_directed_respects_orientation():
     g = Graph(3, [(0, 1), (1, 2)], directed=True)
     h = Graph(3, [(0, 1), (2, 1)], directed=True)
     sol = solve(g, h)
-    assert sol.size == 2
+    assert len(sol.mapping) == 2
     assert is_isomorphism(g, h, sol.mapping)
 
 
@@ -388,7 +388,7 @@ def test_timeout_returns_best_so_far(monkeypatch):
     g, h = _dense_pair(40, 11)
     sol = solve(g, h, SolverConfig(timeout=0.05))
     assert not sol.stats.completed
-    assert sol.size == sol.stats.incumbent_size
+    assert len(sol.mapping) == sol.stats.incumbent_size
     assert is_isomorphism(g, h, sol.mapping)
 
     # a deep search stopped mid-descent, on any machine: the clock advances
@@ -399,7 +399,7 @@ def test_timeout_returns_best_so_far(monkeypatch):
     sol = solve(p, p, SolverConfig(timeout=1500))
     assert not sol.stats.completed
     assert 0 < sol.stats.incumbent_size < n
-    assert sol.size == sol.stats.incumbent_size
+    assert len(sol.mapping) == sol.stats.incumbent_size
     assert is_isomorphism(p, p, sol.mapping)
 
     # the deadline falls among the candidates cut on the root's bound, after
@@ -411,7 +411,7 @@ def test_timeout_returns_best_so_far(monkeypatch):
     sol = solve(g, h, SolverConfig(timeout=full.branches_to_best + 200))
     assert not sol.stats.completed
     assert full.branches_to_best < sol.stats.branches < full.branches
-    assert sol.stats.incumbent_size == sol.size == g.n
+    assert sol.stats.incumbent_size == len(sol.mapping) == g.n
     assert is_isomorphism(g, h, sol.mapping)
 
 
@@ -478,7 +478,7 @@ def test_cut_candidates_are_not_split(monkeypatch, directed):
         ref_mapping, ref_stats = reference_solve(g, h, config)
         assert {key: getattr(sol.stats, key) for key in ref_stats} == ref_stats, name
         assert sol.mapping == ref_mapping, name
-        assert sol.size == g.n
+        assert len(sol.mapping) == g.n
         # splitting every candidate would call it at least once per branch
         assert calls < sol.stats.branches / 2, name
 
@@ -532,24 +532,24 @@ def _graph_pairs(draw, max_n=14):
     return side(), side()
 
 
-def _reference_ranks(h):
-    """Each vertex's position in the reference value order over all of h."""
-    order = order_values(Bidomain([], list(range(h.n))), h, compute_symmetry_classes(h))
-    return [order.index(u) for u in range(h.n)]
+def _reference_order(h):
+    """All of h in the reference value order."""
+    classes = compute_symmetry_classes(h)
+    return order_values(Bidomain([], list(range(h.n))), h, classes)
 
 
 def test_value_order_ranks_match_reference_on_corpus():
     # the corpus mixes directed graphs, loops and twins of both kinds
     for pair in corpus_pairs():
         for h in (pair.g, pair.h):
-            assert value_order_ranks(h, compute_symmetry_classes(h)) == _reference_ranks(h), pair.index
+            assert _value_order(h, compute_symmetry_classes(h)) == _reference_order(h), pair.index
 
 
 @settings(max_examples=200, deadline=None)
 @given(_graph_pairs())
 def test_value_order_ranks_match_reference_property(pair):
     for h in pair:
-        assert value_order_ranks(h, compute_symmetry_classes(h)) == _reference_ranks(h)
+        assert _value_order(h, compute_symmetry_classes(h)) == _reference_order(h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -577,4 +577,4 @@ def test_solve_matches_oracle_on_small_pairs():
         h = Graph(n_h, [(i, j) for i in range(n_h) for j in range(i + 1, n_h) if rng.random() < 0.5])
         expected = brute_force_mcis(g, h).size
         for name in CONFIG_NAMES:
-            assert solve(g, h, SolverConfig.from_name(name)).size == expected
+            assert len(solve(g, h, SolverConfig.from_name(name)).mapping) == expected
