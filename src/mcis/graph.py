@@ -91,22 +91,6 @@ class Graph:
             return self.loops[a]
         return (self.out_bits[a] >> b) & 1 == 1
 
-    def neighbors(self, v: int) -> list[int]:
-        """Out-neighbors of v in ascending order (loops excluded)."""
-        return _bits_to_list(self.out_bits[v])
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list in canonical order: loops as (v, v), undirected once."""
-        out = []
-        for v in range(self.n):
-            for w in self.neighbors(v):
-                if self.directed or v < w:
-                    out.append((v, w))
-            if self.loops[v]:
-                out.append((v, v))
-        out.sort()
-        return out
-
     def display_name(self, v: int) -> str:
         return self.names[v] if self.names is not None else str(v)
 
@@ -126,17 +110,11 @@ class Graph:
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
-        return f"Graph(n={self.n}, m={len(self.edges())}, {kind})"
-
-
-def _bits_to_list(bits: int) -> list[int]:
-    """Positions of the set bits in ascending order, one step per set bit."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+        m = sum(map(int.bit_count, self.out_bits))
+        if not self.directed:
+            m //= 2  # an undirected edge sets a bit in both rows
+        # loops sit in no row
+        return f"Graph(n={self.n}, m={m + sum(self.loops)}, {kind})"
 
 
 def _relabel_row(row: int, new_id: Sequence[int] | dict[int, int]) -> int:
@@ -364,10 +342,12 @@ def is_isomorphism(g: Graph, h: Graph, mapping: Sequence[tuple[int, int | None]]
     matched at most once per side, and each matched G-vertex's out-row,
     masked to the matched set and relabelled through the mapping, to equal
     its partner's masked out-row. Every arc is some vertex's out-arc, so
-    this covers both directions of a directed graph; g and h must agree on
-    directedness. ``None`` values mark vertices deliberately left unmatched
-    and are ignored.
+    this covers both directions of a directed graph. Raises ``ValueError``
+    when g and h differ in directedness, as ``solve`` does. ``None`` values
+    mark vertices deliberately left unmatched and are ignored.
     """
+    if g.directed != h.directed:
+        raise ValueError("graphs must agree on directedness")
     pairs = [(v, u) for v, u in mapping if u is not None]
     to_h = dict(pairs)
     if len(to_h) < len(pairs) or len(set(to_h.values())) < len(pairs):

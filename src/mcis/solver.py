@@ -235,7 +235,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     h_in = [None] * h.n
     gclass = [classes_g.class_id[v] for v in g_ids]
     hclass = [classes_h.class_id[u] for u in h_ids]
-    g_peers = [len(classes_g.peers(v)) > 1 for v in g_ids]
+    g_peers = [c in classes_g.class_members for c in gclass]
     bot_rank = h.n
     use_var = config.var_sym
     use_val = config.val_sym

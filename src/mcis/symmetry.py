@@ -25,10 +25,11 @@ this grouping to.
 Each key kind is grouped in one ``map`` of ``dict.setdefault`` over the
 keys, which hands each vertex the first vertex with its key. The only
 Python step per vertex is the closed rows' ``row | 1 << v``; every other
-one is per twin, and the singleton classes are built with whole-list
-steps. Hashing and comparing the n-bit rows still takes about n^2 / 30
-big-int digit operations (CPython stores 30 bits per digit), whatever the
-edge count.
+one is per twin. A singleton class appears only in ``class_id``: the
+member and kind tables hold just the classes of two or more vertices.
+Hashing and comparing the n-bit rows still takes about n^2 / 30 big-int
+digit operations (CPython stores 30 bits per digit), whatever the edge
+count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .graph import Graph
 
 NEGATIVE = "negative"
 POSITIVE = "positive"
-SINGLETON = "singleton"
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,9 @@ class SymmetryClasses:
 
     ``class_id[v]`` is the class of vertex v; ids are dense and assigned in
     order of each class's smallest member, which keeps downstream orderings
-    deterministic. ``class_members`` and ``class_kind`` describe each class.
+    deterministic. ``class_members`` and ``class_kind`` describe the
+    classes of two or more vertices, keyed by id in ascending order; a
+    singleton class appears only in ``class_id``.
     """
 
     n: int
@@ -58,16 +60,9 @@ class SymmetryClasses:
     class_members: dict[int, tuple[int, ...]]
     class_kind: dict[int, str]
 
-    def peers(self, v: int) -> tuple[int, ...]:
-        return self.class_members[self.class_id[v]]
-
     def nontrivial(self) -> list[tuple[str, tuple[int, ...]]]:
         """(kind, members) for every class of size >= 2, in id order."""
-        return [
-            (self.class_kind[c], self.class_members[c])
-            for c in sorted(self.class_members)
-            if len(self.class_members[c]) > 1
-        ]
+        return [(self.class_kind[c], members) for c, members in self.class_members.items()]
 
 
 def compute_symmetry_classes(g: Graph) -> SymmetryClasses:
@@ -104,12 +99,14 @@ def compute_symmetry_classes(g: Graph) -> SymmetryClasses:
                 groups[r] = (kind, [r, v])
 
     if not groups:
-        return SymmetryClasses(n, rep, dict(enumerate(zip(rep))), dict.fromkeys(rep, SINGLETON))
+        return SymmetryClasses(n, rep, {}, {})
     # ids in order of smallest member: the vertices that are their own rep
     index = dict(zip(compress(range(n), map(eq, rep, range(n))), count()))
-    class_members = dict(enumerate(zip(index)))
-    class_kind = dict.fromkeys(index.values(), SINGLETON)
-    for r, (kind, members) in groups.items():
+    class_members = {}
+    class_kind = {}
+    # negative classes were found first; sorting the reps keeps ids ascending
+    for r in sorted(groups):
+        kind, members = groups[r]
         class_members[index[r]] = tuple(members)
         class_kind[index[r]] = kind
     return SymmetryClasses(n, list(map(index.__getitem__, rep)), class_members, class_kind)

@@ -30,10 +30,10 @@ convert and check each token on its own and build the Graph from an edge
 list, as the package's parsers did before they read in bulk. The tests hold
 those to them, graph for graph and error line for error line.
 
-Test-only helpers: ``degree``, ``in_neighbors``, ``has_loops``,
-``are_symmetric``, ``kind_of``, ``to_lad``, ``to_edgelist`` and
-``induced_subgraph`` build inputs and state expectations; the package does
-not use them.
+Test-only helpers: ``degree``, ``neighbors``, ``in_neighbors``,
+``edge_list``, ``has_loops``, ``are_symmetric``, ``kind_of``, ``to_lad``,
+``to_edgelist`` and ``induced_subgraph`` build inputs and state
+expectations; the package does not use them.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def var_sym_prunable(
     the two values would give an equivalent branch that sorts earlier.
     """
     cid = classes_g.class_id[v]
-    if len(classes_g.class_members[cid]) < 2:
+    if cid not in classes_g.class_members:
         return False
     bot = len(value_rank)
     ur = bot if u is None else value_rank[u]
@@ -139,7 +139,7 @@ def val_sym_prunable(bd: Bidomain, u: int, classes_h: SymmetryClasses) -> bool:
     value order reduces to vertex id.
     """
     cid = classes_h.class_id[u]
-    if len(classes_h.class_members[cid]) < 2:
+    if cid not in classes_h.class_members:
         return False
     return any(w != u and w < u and classes_h.class_id[w] == cid for w in bd.hs)
 
@@ -195,7 +195,7 @@ class NeighborhoodKey(NamedTuple):
 def _neighborhood_key(g: Graph, v: int, kind: str) -> NeighborhoodKey:
     sentinel = g.n
     ins = in_neighbors(g, v)
-    outs = g.neighbors(v) if g.directed else ins
+    outs = neighbors(g, v) if g.directed else ins
     if kind == POSITIVE:
         ins = sorted(ins + [v])
         outs = sorted(outs + [v]) if g.directed else ins
@@ -366,7 +366,9 @@ def reference_classes(g):
 
     Each vertex joins its ``negative_neighborhood`` group if that has a
     second member, else its ``positive_neighborhood`` group if that does,
-    else a singleton; ids follow each class's smallest member.
+    else a singleton; ids follow each class's smallest member. As in
+    ``SymmetryClasses``, the member and kind dicts hold only the classes
+    of two or more vertices, in id order.
     """
     neg_keys = [negative_neighborhood(g, v) for v in range(g.n)]
     pos_keys = [positive_neighborhood(g, v) for v in range(g.n)]
@@ -376,6 +378,7 @@ def reference_classes(g):
         pos_groups.setdefault(pos_keys[v], []).append(v)
     class_id = [-1] * g.n
     class_members, class_kind = {}, {}
+    next_id = 0
     for v in range(g.n):
         if class_id[v] != -1:
             continue
@@ -385,11 +388,12 @@ def reference_classes(g):
             group, kind = pos_groups[pos_keys[v]], "positive"
         else:
             group, kind = [v], "singleton"
-        cid = len(class_members)
         for w in group:
-            class_id[w] = cid
-        class_members[cid] = tuple(group)
-        class_kind[cid] = kind
+            class_id[w] = next_id
+        if len(group) > 1:
+            class_members[next_id] = tuple(group)
+            class_kind[next_id] = kind
+        next_id += 1
     return class_id, class_members, class_kind
 
 
@@ -404,9 +408,27 @@ def degree(g: Graph, v: int) -> int:
     return d
 
 
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Out-neighbors of v in ascending order (loops excluded)."""
+    return [w for w in range(g.n) if g.out_bits[v] >> w & 1]
+
+
 def in_neighbors(g: Graph, v: int) -> list[int]:
     """In-neighbors of v in ascending order (loops excluded)."""
     return [w for w in range(g.n) if g.in_bits[v] >> w & 1]
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """Edge list in canonical order: loops as (v, v), undirected once."""
+    out = []
+    for v in range(g.n):
+        for w in neighbors(g, v):
+            if g.directed or v < w:
+                out.append((v, w))
+        if g.loops[v]:
+            out.append((v, v))
+    out.sort()
+    return out
 
 
 def has_loops(g: Graph) -> bool:
@@ -421,7 +443,7 @@ def are_symmetric(classes: SymmetryClasses, u: int, v: int) -> bool:
 
 
 def kind_of(classes: SymmetryClasses, v: int) -> str:
-    return classes.class_kind[classes.class_id[v]]
+    return classes.class_kind.get(classes.class_id[v], "singleton")
 
 
 def to_lad(g: Graph) -> str:
@@ -430,7 +452,7 @@ def to_lad(g: Graph) -> str:
         raise ValueError("LAD format is undirected only")
     rows = [str(g.n)]
     for v in range(g.n):
-        nbrs = g.neighbors(v)
+        nbrs = neighbors(g, v)
         if g.loops[v]:
             nbrs = sorted(nbrs + [v])
         rows.append(" ".join([str(len(nbrs))] + [str(w) for w in nbrs]))
@@ -443,7 +465,7 @@ def to_edgelist(g: Graph) -> str:
     Always emits numeric ids: symbolic names cannot in general be re-interned
     to the same ids, so they are treated as display metadata only.
     """
-    edges = g.edges()
+    edges = edge_list(g)
     rows = [f"{g.n} {len(edges)}"]
     rows.extend(f"{a} {b}" for a, b in edges)
     return "\n".join(rows) + "\n"
@@ -461,7 +483,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     for v in vs:
         if g.loops[v]:
             edges.append((index[v], index[v]))
-        for w in g.neighbors(v):
+        for w in neighbors(g, v):
             if w in index and (g.directed or v < w):
                 edges.append((index[v], index[w]))
     names = [g.display_name(v) for v in vs] if g.names is not None else None

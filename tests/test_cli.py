@@ -120,6 +120,18 @@ def test_symmetry_star(capsys, tmp_path):
     assert json.loads(out) == {"classes": [{"kind": "negative", "members": [1, 2, 3, 4]}]}
 
 
+def test_symmetry_lists_classes_by_smallest_member(capsys, tmp_path):
+    # detection finds the negative class {3, 4} before the positive {0, 1};
+    # the output still lists classes in order of their smallest member
+    g = write(tmp_path / "g.lad", to_lad(Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])))
+    code, out, _ = run(capsys, "symmetry", g)
+    assert code == 0
+    assert out == (
+        '{"classes": [{"kind": "positive", "members": [0, 1]}, '
+        '{"kind": "negative", "members": [3, 4]}]}\n'
+    )
+
+
 def test_oracle_triangles(capsys, k3):
     code, out, _ = run(capsys, "oracle", k3, k3, "--max-witnesses", "2")
     assert code == 0

@@ -5,9 +5,11 @@ from known_instance import WITNESS, graph_g, graph_h
 from mcis import Graph, GraphParseError, is_isomorphism, parse_edgelist, parse_lad
 from reference import (
     degree,
+    edge_list,
     has_loops,
     in_neighbors,
     induced_subgraph,
+    neighbors,
     reference_is_isomorphism,
     reference_parse_edgelist,
     reference_parse_lad,
@@ -53,6 +55,7 @@ def test_graph_rejects_short_name_table():
 def test_graph_repr():
     assert repr(Graph(3, [(0, 1), (1, 2)])) == "Graph(n=3, m=2, undirected)"
     assert repr(Graph(2, [(0, 1), (1, 0), (1, 1)], directed=True)) == "Graph(n=2, m=3, directed)"
+    assert repr(Graph(2, [(0, 1), (1, 1)])) == "Graph(n=2, m=2, undirected)"
 
 
 def test_undirected_adjacency_is_symmetric():
@@ -64,14 +67,14 @@ def test_undirected_adjacency_is_symmetric():
 def test_directed_adjacency_is_one_way():
     g = Graph(2, [(0, 1)], directed=True)
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
-    assert g.neighbors(0) == [1] and in_neighbors(g, 1) == [0]
+    assert neighbors(g, 0) == [1] and in_neighbors(g, 1) == [0]
 
 
 def test_loops_live_in_flag_not_rows():
     g = Graph(2, [(0, 0), (0, 1)])
     assert g.loops[0] and not g.loops[1]
     assert g.has_edge(0, 0) and not g.has_edge(1, 1)
-    assert g.neighbors(0) == [1]  # loop not in the adjacency row
+    assert neighbors(g, 0) == [1]  # loop not in the adjacency row
     assert has_loops(g)
 
 
@@ -83,7 +86,7 @@ def test_degree_directed_counts_both_directions():
 
 def test_edges_canonical_order_with_loops():
     g = Graph(3, [(2, 1), (1, 0), (2, 2)])
-    assert g.edges() == [(0, 1), (1, 2), (2, 2)]
+    assert edge_list(g) == [(0, 1), (1, 2), (2, 2)]
 
 
 def test_structural_equality_ignores_names():
@@ -103,7 +106,7 @@ def test_parse_lad_path():
 
 def test_parse_lad_isolated_vertex():
     g = parse_lad("1\n0\n")
-    assert g.n == 1 and g.edges() == []
+    assert g.n == 1 and edge_list(g) == []
 
 
 def test_parse_lad_single_edge():
@@ -113,7 +116,7 @@ def test_parse_lad_single_edge():
 def test_parse_lad_duplicate_mentions_collapse():
     # both rows mention the edge; some files also repeat within a row
     g = parse_lad("2\n2 1 1\n1 0\n")
-    assert g.edges() == [(0, 1)]
+    assert edge_list(g) == [(0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -366,6 +369,14 @@ def test_is_isomorphism_ignores_unmatched_pairs():
     g = Graph(2, [(0, 1)])
     h = Graph(1)
     assert is_isomorphism(g, h, [(0, 0), (1, None)])
+
+
+@pytest.mark.parametrize("g_directed", [False, True])
+def test_is_isomorphism_rejects_mixed_directedness(g_directed):
+    g = Graph(2, [(0, 1)], directed=g_directed)
+    h = Graph(2, [(0, 1)], directed=not g_directed)
+    with pytest.raises(ValueError, match="directedness"):
+        is_isomorphism(g, h, [(0, 0), (1, 1)])
 
 
 def test_is_isomorphism_rejects_repeated_vertices():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcis import Graph, brute_force_mcis, is_isomorphism
-from reference import induced_subgraph
+from reference import edge_list, induced_subgraph
 
 
 def k(n):
@@ -105,7 +105,7 @@ def test_size_is_invariant_under_relabelling(pair, rng):
     rng.shuffle(perm)
     relabelled = Graph(
         g.n,
-        [(perm[a], perm[b]) for a, b in g.edges()],
+        [(perm[a], perm[b]) for a, b in edge_list(g)],
         directed=g.directed,
     )
     assert brute_force_mcis(relabelled, h).size == base
