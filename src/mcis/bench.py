@@ -20,7 +20,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .graph import Graph, is_isomorphism, parse_edgelist, parse_lad
-from .solver import SolverConfig, solve
+from .solver import SearchStats, SolverConfig, solve
 
 FORMATS = ("lad", "edgelist")
 
@@ -28,19 +28,15 @@ FORMATS = ("lad", "edgelist")
 _CURVE_STEPS = (1, 2, 5)
 
 
-@dataclass
-class InstanceReport:
+@dataclass(kw_only=True)
+class InstanceReport(SearchStats):
+    """A run's search counters, then what the run was on and how it ended."""
+
+    # an error record has no search behind it, so it must not read completed
+    completed: bool = False
     instance: str
     config: str
-    incumbent_size: int = 0
-    completed: bool = False
     wall_time: float = 0.0
-    branches: int = 0
-    bound_prunes: int = 0
-    var_sym_prunes: int = 0
-    val_sym_prunes: int = 0
-    time_to_best: float = 0.0
-    branches_to_best: int = 0
     sym_to_bound_ratio: float = 0.0
     verified: bool = False
     mapping: list = field(default_factory=list)
@@ -83,10 +79,10 @@ def run_instance(
     if instance_id is None:
         instance_id = f"{g_path}:{h_path}"
     return InstanceReport(
-        str(instance_id),
-        config.name,
-        wall_time=wall,
         **vars(st),
+        instance=str(instance_id),
+        config=config.name,
+        wall_time=wall,
         sym_to_bound_ratio=100.0 * (st.var_sym_prunes + st.val_sym_prunes) / max(st.bound_prunes, 1),
         verified=is_isomorphism(g, h, sol.mapping),
         mapping=[[g.display_name(v), h.display_name(u)] for v, u in sol.mapping],
@@ -117,7 +113,9 @@ def _run_task(task) -> dict:
     try:
         report = run_instance(g_path, h_path, config, fmt, directed, loops, instance_id)
     except Exception as exc:  # recorded, the batch keeps going
-        report = InstanceReport(str(instance_id), config.name, error=f"{type(exc).__name__}: {exc}")
+        report = InstanceReport(
+            instance=str(instance_id), config=config.name, error=f"{type(exc).__name__}: {exc}"
+        )
     return vars(report)
 
 
@@ -224,8 +222,11 @@ def run_batch(
     if not configs:
         raise ValueError("at least one config is required")
     # checked before anything is written, so a bad name or timeout writes
-    # nothing; the solved-curve grid and summary.json need a finite timeout
-    solver_configs = [SolverConfig.from_name(c, timeout=timeout) for c in configs]
+    # nothing; the solved-curve grid and summary.json need a finite timeout,
+    # and the per-config tables one run per pair and name
+    solver_configs = [SolverConfig(c, timeout=timeout) for c in configs]
+    if len(set(configs)) < len(configs):
+        raise ValueError(f"duplicate config in {configs}")
     if not math.isfinite(timeout):
         raise ValueError("timeout must be finite")
     if jobs is None:

@@ -15,7 +15,7 @@ import sys
 
 from .bench import FORMATS, load_graph, run_batch, run_instance
 from .oracle import brute_force_mcis
-from .solver import SolverConfig
+from .solver import CONFIG_NAMES, SolverConfig
 from .symmetry import compute_symmetry_classes
 
 
@@ -35,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g_path")
     p.add_argument("h_path")
     _add_format_args(p)
-    p.add_argument("--no-var-sym", action="store_true", help="disable the variable rule")
-    p.add_argument("--no-val-sym", action="store_true", help="disable the value rule")
+    p.add_argument("--config", choices=CONFIG_NAMES, default="dual", help="rule configuration")
     p.add_argument("--timeout", type=float, default=1800.0, help="seconds before giving up")
     p.add_argument("--stats-json", metavar="PATH", help="also write the report to this file")
 
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--configs",
         default="dual,none",
-        help="comma-separated rule configurations (none,var,val,dual)",
+        help=f"comma-separated rule configurations ({','.join(CONFIG_NAMES)})",
     )
     p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: cpu count)")
     p.add_argument("--out", default="bench_out", help="output directory")
@@ -85,11 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = SolverConfig(
-        var_sym=not args.no_var_sym,
-        val_sym=not args.no_val_sym,
-        timeout=args.timeout,
-    )
+    config = SolverConfig(args.config, timeout=args.timeout)
     report = run_instance(
         args.g_path, args.h_path, config, args.format, args.directed, args.loops
     )

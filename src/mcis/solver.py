@@ -49,7 +49,7 @@ from time import perf_counter
 from .graph import Graph, _relabel_row
 from .symmetry import SymmetryClasses, compute_symmetry_classes
 
-# (var_sym, val_sym) of each standard rule combination, by name
+# (var rule, val rule) of each configuration, by name
 _CONFIG_RULES = {
     "none": (False, False),
     "var": (True, False),
@@ -57,7 +57,6 @@ _CONFIG_RULES = {
     "dual": (True, True),
 }
 CONFIG_NAMES = tuple(_CONFIG_RULES)
-_CONFIG_BY_RULES = {rules: name for name, rules in _CONFIG_RULES.items()}
 
 # search nodes between two reads of the clock when a timeout is set
 _CHECK_INTERVAL = 1024
@@ -65,27 +64,21 @@ _CHECK_INTERVAL = 1024
 
 @dataclass
 class SolverConfig:
-    var_sym: bool = True
-    val_sym: bool = True
+    """A rule configuration, by name, and an optional timeout in seconds.
+
+    ``none`` is the plain bidomain search, ``var`` adds the variable rule,
+    ``val`` the value rule and ``dual`` both.
+    """
+
+    name: str = "dual"
     timeout: float | None = None
 
     def __post_init__(self):
+        if self.name not in _CONFIG_RULES:
+            raise ValueError(f"unknown config {self.name!r}, expected one of {CONFIG_NAMES}")
         # written so that NaN fails too: it compares false with everything
         if self.timeout is not None and not self.timeout >= 0:
             raise ValueError("timeout must be non-negative")
-
-    @classmethod
-    def from_name(cls, name: str, **kwargs) -> "SolverConfig":
-        """Build one of the standard rule combinations by name."""
-        try:
-            var_sym, val_sym = _CONFIG_RULES[name]
-        except KeyError:
-            raise ValueError(f"unknown config {name!r}, expected one of {CONFIG_NAMES}") from None
-        return cls(var_sym=var_sym, val_sym=val_sym, **kwargs)
-
-    @property
-    def name(self) -> str:
-        return _CONFIG_BY_RULES[(self.var_sym, self.val_sym)]
 
 
 @dataclass
@@ -237,8 +230,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     hclass = [classes_h.class_id[u] for u in h_ids]
     g_peers = [c in classes_g.class_members for c in gclass]
     bot_rank = h.n
-    use_var = config.var_sym
-    use_val = config.val_sym
+    use_var, use_val = _CONFIG_RULES[config.name]
     deadline = None if config.timeout is None else t0 + config.timeout
     tick = 1
 

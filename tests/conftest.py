@@ -23,7 +23,7 @@ def run_corpus(pairs):
     out = {}
     for pair in pairs:
         for name in CONFIG_NAMES:
-            sol = solve(pair.g, pair.h, SolverConfig.from_name(name))
+            sol = solve(pair.g, pair.h, SolverConfig(name))
             st = sol.stats
             out[(pair.index, name)] = (
                 st.branches,

@@ -278,6 +278,9 @@ def reference_solve(g, h, config):
              "incumbent_size": 0, "branches_to_best": 0}
     best_mapping: list[tuple[int, int]] = []
     mapping: list[tuple[int, int | None]] = []
+    # spelled out here rather than read from the package's table
+    use_var = config.name in ("var", "dual")
+    use_val = config.name in ("val", "dual")
 
     def search(partition):
         nonlocal best_mapping
@@ -294,10 +297,10 @@ def reference_solve(g, h, config):
         bd = partition[i]
         v = select_vertex(bd, g)
         for u in order_values(bd, h, classes_h):
-            if config.var_sym and var_sym_prunable(mapping, v, u, classes_g, rank):
+            if use_var and var_sym_prunable(mapping, v, u, classes_g, rank):
                 stats["var_sym_prunes"] += 1
                 continue
-            if config.val_sym and val_sym_prunable(bd, u, classes_h):
+            if use_val and val_sym_prunable(bd, u, classes_h):
                 stats["val_sym_prunes"] += 1
                 continue
             children = refine_partition(_without(partition, i, v, u), v, u, g, h)

@@ -162,8 +162,8 @@ HALVING_FAMILY = (
 def test_criterion_05_halving_on_symmetric_families():
     halved = []
     for name, g, h in HALVING_FAMILY:
-        none = solve(g, h, SolverConfig.from_name("none")).stats.branches
-        dual = solve(g, h, SolverConfig.from_name("dual")).stats.branches
+        none = solve(g, h, SolverConfig("none")).stats.branches
+        dual = solve(g, h, SolverConfig("dual")).stats.branches
         halved.append(2 * dual <= none)
     count = sum(halved)
     misses = [name for (name, _, _), ok in zip(HALVING_FAMILY, halved) if not ok]
@@ -345,7 +345,7 @@ def test_criterion_08_detection_scaling():
 def test_criterion_09_reference_instance():
     g = graph_g()
     h = graph_h(named=True)
-    sol = solve(g, h, SolverConfig.from_name("dual"))
+    sol = solve(g, h, SolverConfig("dual"))
     got_g = compute_symmetry_classes(g).nontrivial()
     got_h = [
         (kind, tuple(h.names[v] for v in members))

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -12,6 +13,7 @@ from mcis import (
     aggregate_reports,
     run_batch,
     run_instance,
+    solve,
 )
 from mcis.bench import _curve_bounds, load_graph, read_manifest
 from reference import to_lad
@@ -36,7 +38,7 @@ def k3_pair(tmp_path):
 
 
 def test_run_instance_triangles(k3_pair):
-    rep = run_instance(*k3_pair, SolverConfig.from_name("dual"))
+    rep = run_instance(*k3_pair, SolverConfig("dual"))
     assert rep.incumbent_size == 3
     assert rep.completed
     assert rep.config == "dual"
@@ -46,6 +48,12 @@ def test_run_instance_triangles(k3_pair):
     assert sorted(rep.mapping) == [["0", "0"], ["1", "1"], ["2", "2"]]
     expected = 100.0 * (rep.var_sym_prunes + rep.val_sym_prunes) / max(rep.bound_prunes, 1)
     assert rep.sym_to_bound_ratio == expected
+    # the report carries every counter of the solve, under the same name
+    g, h = (load_graph(p) for p in k3_pair)
+    stats = vars(solve(g, h, SolverConfig("dual")).stats)
+    stats.pop("time_to_best")
+    assert {k: vars(rep)[k] for k in stats} == stats
+    assert list(vars(rep))[: len(fields(SearchStats))] == [f.name for f in fields(SearchStats)]
 
 
 def test_run_instance_reports_broken_mapping_unverified(tmp_path, monkeypatch):
@@ -62,8 +70,8 @@ def test_run_instance_reports_broken_mapping_unverified(tmp_path, monkeypatch):
 def test_run_instance_star_dual_prunes_more(tmp_path):
     star = Graph(7, [(0, i) for i in range(1, 7)])
     path = write(tmp_path / "star.lad", to_lad(star))
-    dual = run_instance(path, path, SolverConfig.from_name("dual"))
-    none = run_instance(path, path, SolverConfig.from_name("none"))
+    dual = run_instance(path, path, SolverConfig("dual"))
+    none = run_instance(path, path, SolverConfig("none"))
     assert dual.incumbent_size == none.incumbent_size == 7
     assert dual.branches < none.branches
 
@@ -290,6 +298,14 @@ def test_run_batch_rejects_unknown_config(tmp_path):
     man = write(tmp_path / "m.txt", "")
     with pytest.raises(ValueError, match="unknown config"):
         run_batch(man, configs=["fancy"], jobs=1, out_dir=tmp_path / "o")
+
+
+def test_run_batch_rejects_duplicate_config(tmp_path):
+    write(tmp_path / "k3.lad", K3_LAD)
+    man = write(tmp_path / "m.txt", "k3.lad k3.lad\n")
+    with pytest.raises(ValueError, match="duplicate config"):
+        run_batch(man, configs=["dual", "none", "dual"], jobs=1, out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_batch_rejects_empty_config_list(tmp_path):

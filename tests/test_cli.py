@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mcis import Graph
+from mcis import CONFIG_NAMES, Graph
 from mcis.cli import main
 from reference import to_lad
 
@@ -41,16 +41,31 @@ def test_solve_triangles(capsys, k3):
 
 
 def test_solve_rule_flags(capsys, k3):
-    code, out, _ = run(capsys, "solve", k3, k3, "--no-var-sym", "--no-val-sym")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["config"] == "none"
-    assert payload["var_sym_prunes"] == 0 and payload["val_sym_prunes"] == 0
+    for name in CONFIG_NAMES:
+        code, out, _ = run(capsys, "solve", k3, k3, "--config", name)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"] == name
+        assert payload["incumbent_size"] == 3
+        # a rule that is off prunes nothing
+        if name in ("none", "val"):
+            assert payload["var_sym_prunes"] == 0
+        if name in ("none", "var"):
+            assert payload["val_sym_prunes"] == 0
+
+
+@pytest.mark.parametrize("flag", [["--config", "all"], ["--no-var-sym"]])
+def test_solve_rejects_unknown_rule_option(capsys, k3, flag):
+    # --no-var-sym was replaced by --config, not kept as a second spelling
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", k3, k3, *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path, k3):
     # the parser is built once per process; flags of one call must not leak
-    code, out, _ = run(capsys, "solve", k3, k3, "--no-var-sym")
+    code, out, _ = run(capsys, "solve", k3, k3, "--config", "val")
     assert code == 0 and json.loads(out)["config"] == "val"
     code, out, _ = run(capsys, "solve", k3, k3)
     assert code == 0 and json.loads(out)["config"] == "dual"

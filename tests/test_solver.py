@@ -43,13 +43,18 @@ def k(n):
 
 
 def test_config_names_round_trip():
+    # every name constructs and keeps its name; anything else raises
     for name in CONFIG_NAMES:
-        assert SolverConfig.from_name(name).name == name
+        assert SolverConfig(name).name == name
+    assert SolverConfig().name == "dual"
+    with pytest.raises(ValueError, match="unknown config 'all'"):
+        SolverConfig("all")
 
 
 def test_config_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown config"):
-        SolverConfig.from_name("all")
+    for bad in ("all", "", "DUAL", "var,val"):
+        with pytest.raises(ValueError, match="unknown config"):
+            SolverConfig(bad)
 
 
 def test_config_validation():
@@ -265,7 +270,7 @@ def test_refine_asymmetric_buckets_are_dropped_separately():
 
 def test_solve_identical_triangles():
     for name in CONFIG_NAMES:
-        sol = solve(k(3), k(3), SolverConfig.from_name(name))
+        sol = solve(k(3), k(3), SolverConfig(name))
         assert len(sol.mapping) == 3
         assert is_isomorphism(k(3), k(3), sol.mapping)
 
@@ -283,15 +288,15 @@ def test_solve_single_vertices():
 
 def test_solve_star_dual_beats_none():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    none_b = solve(star, star, SolverConfig.from_name("none")).stats.branches
-    dual_b = solve(star, star, SolverConfig.from_name("dual")).stats.branches
+    none_b = solve(star, star, SolverConfig("none")).stats.branches
+    dual_b = solve(star, star, SolverConfig("dual")).stats.branches
     assert dual_b < none_b
 
 
 def test_solve_known_instance_optimum_and_branches():
     g, h = graph_g(), graph_h()
     for name in CONFIG_NAMES:
-        sol = solve(g, h, SolverConfig.from_name(name))
+        sol = solve(g, h, SolverConfig(name))
         assert len(sol.mapping) == OPTIMUM
         assert is_isomorphism(g, h, sol.mapping)
         # pins the deterministic traversal; changing any ordering breaks this
@@ -332,13 +337,13 @@ def test_solve_rejects_empty_and_mismatched():
 
 def test_stats_gated_by_config():
     g, h = graph_g(), graph_h()
-    st_none = solve(g, h, SolverConfig.from_name("none")).stats
+    st_none = solve(g, h, SolverConfig("none")).stats
     assert st_none.var_sym_prunes == 0 and st_none.val_sym_prunes == 0
-    st_var = solve(g, h, SolverConfig.from_name("var")).stats
+    st_var = solve(g, h, SolverConfig("var")).stats
     assert st_var.var_sym_prunes > 0 and st_var.val_sym_prunes == 0
-    st_val = solve(g, h, SolverConfig.from_name("val")).stats
+    st_val = solve(g, h, SolverConfig("val")).stats
     assert st_val.var_sym_prunes == 0 and st_val.val_sym_prunes > 0
-    st_dual = solve(g, h, SolverConfig.from_name("dual")).stats
+    st_dual = solve(g, h, SolverConfig("dual")).stats
     assert st_dual.var_sym_prunes > 0 and st_dual.val_sym_prunes > 0
 
 
@@ -472,7 +477,7 @@ def test_cut_candidates_are_not_split(monkeypatch, directed):
 
     monkeypatch.setattr("mcis.solver._split", counting_split)
     for name in CONFIG_NAMES:
-        config = SolverConfig.from_name(name)
+        config = SolverConfig(name)
         calls = 0
         sol = solve(g, h, config)
         ref_mapping, ref_stats = reference_solve(g, h, config)
@@ -491,7 +496,7 @@ def test_engine_matches_reference_on_random_pairs():
     pairs = corpus_pairs(count=80) + corpus_pairs(count=200, seed=9012, min_n=9, max_n=12)
     for pair in pairs:
         for name in CONFIG_NAMES:
-            config = SolverConfig.from_name(name)
+            config = SolverConfig(name)
             sol = solve(pair.g, pair.h, config)
             ref_mapping, ref_stats = reference_solve(pair.g, pair.h, config)
             got = sol.stats
@@ -558,7 +563,7 @@ def test_engine_matches_reference_property(pair):
     g, h = pair
     sizes = set()
     for name in CONFIG_NAMES:
-        config = SolverConfig.from_name(name)
+        config = SolverConfig(name)
         sol = solve(g, h, config)
         ref_mapping, ref_stats = reference_solve(g, h, config)
         got = sol.stats
@@ -577,4 +582,4 @@ def test_solve_matches_oracle_on_small_pairs():
         h = Graph(n_h, [(i, j) for i in range(n_h) for j in range(i + 1, n_h) if rng.random() < 0.5])
         expected = brute_force_mcis(g, h).size
         for name in CONFIG_NAMES:
-            assert len(solve(g, h, SolverConfig.from_name(name)).mapping) == expected
+            assert len(solve(g, h, SolverConfig(name)).mapping) == expected
