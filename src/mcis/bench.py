@@ -5,9 +5,9 @@ configuration and flattens everything a results table needs into an
 :class:`InstanceReport`. ``run_batch`` maps that over a manifest of pairs
 times a set of configurations, in parallel across processes, then writes
 per-run JSON lines plus aggregate CSVs: cumulative solved-over-time curves,
-per-configuration comparisons (speedups where both solved, incumbent-size
-deltas where neither did) and the share of instances where symmetry rules
-out-pruned the bound.
+per-configuration comparisons (speedups and branch ratios where both
+solved, incumbent-size deltas where neither did) and the share of
+instances where symmetry rules out-pruned the bound.
 """
 
 from __future__ import annotations
@@ -48,10 +48,17 @@ def load_graph(path: str | Path, fmt: str = "lad", directed: bool = False, loops
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if fmt == "lad" and directed:
         raise ValueError("the lad format is undirected only")
-    text = Path(path).read_text()
+    text = _read_utf8(path)
     if fmt == "lad":
         return parse_lad(text)
     return parse_edgelist(text, directed=directed, allow_loops=loops)
+
+
+def _read_utf8(path: str | Path) -> str:
+    """A file's text decoded as UTF-8, whatever the locale. CRLF and CR
+    line ends stay in it: ``splitlines`` takes each as one break."""
+    with open(path, "rb") as f:
+        return f.read().decode("utf-8")
 
 
 def run_instance(
@@ -97,7 +104,7 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     mpath = Path(path)
     base = mpath.parent
     pairs = []
-    for i, raw in enumerate(mpath.read_text().splitlines(), start=1):
+    for i, raw in enumerate(_read_utf8(mpath).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,9 +144,11 @@ def aggregate_reports(reports: list[dict], configs: list[str], timeout: float) -
     """Summary statistics over per-run report dicts.
 
     The first configuration is the candidate; every other one serves as a
-    baseline for speedup (both solved) and incumbent-delta (neither solved)
-    comparisons. Errored runs count as unsolved and are excluded from the
-    pairwise rows.
+    baseline for speedup and branch-ratio (both solved) and incumbent-delta
+    (neither solved) comparisons. The branch ratio is the baseline's
+    branches summed over the co-solved pairs over the candidate's, so a
+    ratio of 2 means the candidate searched half the tree. Errored runs
+    count as unsolved and are excluded from the pairwise rows.
     """
     by_config: dict[str, dict[str, dict]] = {c: {} for c in configs}
     for rep in reports:
@@ -170,12 +179,15 @@ def aggregate_reports(reports: list[dict], configs: list[str], timeout: float) -
     for baseline in configs[1:]:
         speedups = []
         deltas = []
+        a_branches = b_branches = 0
         for inst, a in by_config[candidate].items():
             b = by_config[baseline].get(inst)
             if b is None or a["error"] or b["error"]:
                 continue
             if a["completed"] and b["completed"]:
                 speedups.append(b["wall_time"] / max(a["wall_time"], 1e-9))
+                a_branches += a["branches"]
+                b_branches += b["branches"]
             elif not a["completed"] and not b["completed"]:
                 deltas.append(a["incumbent_size"] - b["incumbent_size"])
         comparisons.append(
@@ -185,6 +197,8 @@ def aggregate_reports(reports: list[dict], configs: list[str], timeout: float) -
                 "co_solved": len(speedups),
                 "mean_speedup": sum(speedups) / len(speedups) if speedups else 0.0,
                 "max_speedup": max(speedups) if speedups else 0.0,
+                # a completed search counts its root, so a_branches > 0 here
+                "branch_ratio": b_branches / a_branches if speedups else 0.0,
                 "co_unsolved": len(deltas),
                 "mean_delta": sum(deltas) / len(deltas) if deltas else 0.0,
                 "deltas": deltas,
@@ -265,14 +279,14 @@ def run_batch(
 
     with open(out / "comparison.csv", "w") as f:
         f.write(
-            "candidate,baseline,co_solved,mean_speedup,max_speedup,co_unsolved,mean_delta\n"
+            "candidate,baseline,co_solved,mean_speedup,max_speedup,co_unsolved,mean_delta,branch_ratio\n"
         )
         rows = summary["comparisons"] if reports else []
         for row in rows:
             f.write(
                 f"{row['candidate']},{row['baseline']},{row['co_solved']},"
                 f"{row['mean_speedup']:g},{row['max_speedup']:g},"
-                f"{row['co_unsolved']},{row['mean_delta']:g}\n"
+                f"{row['co_unsolved']},{row['mean_delta']:g},{row['branch_ratio']:g}\n"
             )
 
     return summary

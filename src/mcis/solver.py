@@ -27,14 +27,25 @@ rules, in every configuration. Keeping the two aligned means a skipped
 branch's surviving twin is always explored earlier in depth-first order,
 which in turn makes branch counts shrink monotonically as rules are added.
 
-Module layout: ``solve`` relabels G into bitset rows, and H row by row
-when a split first needs one, and runs the search as one loop over a stack
-of pending nodes. A candidate child waits on the stack unsplit, beside its
-parent's bidomains and bound, and is split only when popped, if that bound
-still beats the incumbent. The counters live in locals of the loop and
-reach its ``SearchStats`` once, when the loop ends. The choice of bidomain
-and vertex, the bound and both pruning rules are spelled inline in that
-loop, and ``_split`` is its one partition operation. The same decisions
+The search runs on the pair in its cheaper orientation; neither step
+changes the optimum. The smaller graph branches: when G has more vertices
+than H, the search runs on (H, G), and each reported pair is swapped back.
+A dense pair, one with more than half of all arcs between distinct
+vertices (an undirected edge is two arcs), runs on the complements of
+both graphs, loops kept; an induced isomorphism of the complements is one
+of the originals. Detection, the value order, both rules and the search
+then run on that pair unchanged, so every counter is the oriented
+search's.
+
+Module layout: ``solve`` orients the pair, relabels G into bitset rows,
+and H row by row when a split first needs one, and runs the search as one
+loop over a stack of pending nodes. A candidate child waits on the stack
+unsplit, beside its parent's bidomains and bound, and is split only when
+popped, if that bound still beats the incumbent. The counters live in
+locals of the loop and reach its ``SearchStats`` once, when the loop ends.
+The choice of bidomain and vertex, the bound and both pruning rules are
+spelled inline in that loop, and ``_split`` is its one partition
+operation. The same decisions
 over plain vertex lists, as McSplit writes them, live in
 ``tests/reference.py``: they are the independent reference the tests hold
 the search to, counter for counter and pair for pair.
@@ -107,6 +118,15 @@ def _degrees(g: Graph) -> list[int]:
     return deg
 
 
+def _complement(g: Graph) -> Graph:
+    """g with every arc between two distinct vertices flipped. Loop flags
+    sit in no row, so they are kept, as are the names."""
+    full = (1 << g.n) - 1
+    out = [full ^ row ^ 1 << v for v, row in enumerate(g.out_bits)]
+    inn = [full ^ row ^ 1 << v for v, row in enumerate(g.in_bits)] if g.directed else out
+    return Graph(g.n, directed=g.directed, names=g.names, rows=(out, inn, g.loops))
+
+
 def _positions(order: list[int]) -> list[int]:
     """The inverse permutation: ``order[_positions(order)[v]] == v``."""
     pos = [0] * len(order)
@@ -115,10 +135,11 @@ def _positions(order: list[int]) -> list[int]:
     return pos
 
 
-def _value_order(h: Graph, classes_h: SymmetryClasses) -> list[int]:
-    """H's vertices in the fixed value order: degree descending, then class
-    id, then id. Class ids lie below n, so one int key orders by the first
-    two, and the stable sort keeps id order among equal keys.
+def _value_order(deg: list[int], classes_h: SymmetryClasses) -> list[int]:
+    """H's vertices in the fixed value order, given their degrees: degree
+    descending, then class id, then id. Class ids lie below n, so one int
+    key orders by the first two, and the stable sort keeps id order among
+    equal keys.
 
     A vertex's position in this order is its rank: lower means tried
     earlier and considered smaller by the pruning rules, and ``None``
@@ -126,8 +147,8 @@ def _value_order(h: Graph, classes_h: SymmetryClasses) -> list[int]:
     degree and class, so they are consecutive and fall back to id order
     among themselves.
     """
-    n = h.n
-    keys = [c - d * n for d, c in zip(_degrees(h), classes_h.class_id)]
+    n = len(deg)
+    keys = [c - d * n for d, c in zip(deg, classes_h.class_id)]
     return sorted(range(n), key=keys.__getitem__)
 
 
@@ -160,6 +181,14 @@ def _split(bds, g_row, h_row):
 
 def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     """Find a maximum common induced subgraph of g and h.
+
+    The pair is oriented first: g and h swap places when g has more
+    vertices, and a pair holding more than half of all possible arcs is
+    replaced by the complements of both graphs (see :func:`_complement`).
+    Everything below runs on the oriented pair, so the counters are those
+    of its search; the mapping is swapped back into (g-vertex, h-vertex)
+    pairs at the end. Hence when the sizes differ, ``solve(h, g)`` gives
+    the same counters as ``solve(g, h)`` and the mirrored mapping.
 
     Interchangeability classes for both graphs are computed here, inside the
     measured solve, and drive the two pruning rules when enabled. On timeout
@@ -212,12 +241,25 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         raise ValueError("graphs must agree on directedness")
 
     t0 = perf_counter()
+    # the optimum is the same either way round and on both complements
+    swapped = g.n > h.n
+    if swapped:
+        g, h = h, g
+    deg_g, deg_h = _degrees(g), _degrees(h)
+    # top is the largest degree (in plus out when directed), so a complete
+    # graph's degrees sum to n * top, and a complement's degrees are top - d
+    ways = 2 if g.directed else 1
+    top_g, top_h = (g.n - 1) * ways, (h.n - 1) * ways
+    if 2 * (sum(deg_g) + sum(deg_h)) > g.n * top_g + h.n * top_h:
+        g, h = _complement(g), _complement(h)
+        deg_g = [top_g - d for d in deg_g]
+        deg_h = [top_h - d for d in deg_h]
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
 
     # a stable sort keeps id order among equal degrees
-    g_ids = sorted(range(g.n), key=list(map(neg, _degrees(g))).__getitem__)
-    h_ids = _value_order(h, classes_h)
+    g_ids = sorted(range(g.n), key=list(map(neg, deg_g)).__getitem__)
+    h_ids = _value_order(deg_h, classes_h)
     g_new = _positions(g_ids)
     rank = _positions(h_ids)
     directed = g.directed
@@ -355,6 +397,8 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 continue
             stack.append((bds, mc + 1, path_len, (v, u), bound, best_i))
 
+    if swapped:
+        best = [(u, v) for v, u in best]
     stats = SearchStats(
         branches=branches,
         bound_prunes=bound_prunes,

@@ -3,11 +3,13 @@
 Plain-list search: ``Bidomain`` through ``refine_partition`` spell every
 decision of ``mcis.solve`` over vertex lists, as McSplit writes its
 bidomain search (McCreesh, Prosser and Trimble, IJCAI 2017).
-``reference_solve`` runs them as one search; differential tests hold it
-and the bitset engine to identical counters. ``enumerate_tree`` walks the
-complete unpruned search tree of tiny instances, reporting each node's
-bound and each terminal branch together with whether either pruning rule
-would have fired on it.
+``reference_solve`` runs them as one search, on the pair
+``reference_orient`` picks (the smaller graph first, and the complements
+of a dense pair); differential tests hold it and the bitset engine to
+identical counters. ``enumerate_tree`` walks the complete unpruned search
+tree of tiny instances, as given, reporting each node's bound and each
+terminal branch together with whether either pruning rule would have
+fired on it.
 
 Tuple keys: ``negative_neighborhood`` / ``positive_neighborhood`` are the
 readable definition of interchangeability, as sorted neighbor ids. A
@@ -269,8 +271,48 @@ def _without(partition, i, v, u):
     return out
 
 
+def reference_orient(g: Graph, h: Graph) -> tuple[Graph, Graph, bool]:
+    """The pair ``mcis.solve`` searches, and whether g and h swapped places.
+
+    The smaller graph branches, so g and h swap when g has more vertices.
+    A pair with more than half of all possible arcs between distinct
+    vertices is then replaced by its complements, edge set by edge set,
+    with the loops and names kept.
+    """
+    swapped = g.n > h.n
+    if swapped:
+        g, h = h, g
+    if 2 * (arc_count(g) + arc_count(h)) > g.n * (g.n - 1) + h.n * (h.n - 1):
+        g, h = complement(g), complement(h)
+    return g, h, swapped
+
+
+def arc_count(g: Graph) -> int:
+    """Arcs between distinct vertices; an undirected edge counts as two."""
+    return sum(1 if g.directed else 2 for a, b in edge_list(g) if a != b)
+
+
+def complement(g: Graph) -> Graph:
+    """g with each pair of distinct vertices joined exactly when it was not
+    (each ordered pair, when directed); loops and names are kept."""
+    edges = set(edge_list(g))
+    flipped = [
+        (a, b)
+        for a in range(g.n)
+        for b in range(g.n)
+        if a != b and (g.directed or a < b) and (a, b) not in edges
+    ]
+    flipped += [(v, v) for v in range(g.n) if g.loops[v]]
+    return Graph(g.n, flipped, directed=g.directed, names=g.names)
+
+
 def reference_solve(g, h, config):
-    """Same search as mcis.solve, on plain list bidomains. Returns (mapping, stats)."""
+    """Same search as mcis.solve, on plain list bidomains. Returns (mapping, stats).
+
+    The search runs on the pair ``reference_orient`` picks, and the mapping
+    is reported in g-to-h order.
+    """
+    g, h, swapped = reference_orient(g, h)
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
     rank = reference_ranks(h)
@@ -315,6 +357,8 @@ def reference_solve(g, h, config):
         mapping.pop()
 
     search(initial_partition(g, h))
+    if swapped:
+        best_mapping = [(u, v) for v, u in best_mapping]
     return best_mapping, stats
 
 

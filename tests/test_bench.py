@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from mcis import (
     solve,
 )
 from mcis.bench import _curve_bounds, load_graph, read_manifest
+from known_instance import BRANCHES, graph_g, graph_h
 from reference import to_lad
 
 K3_LAD = "3\n2 1 2\n2 0 2\n2 0 1\n"
@@ -105,6 +110,41 @@ def test_load_graph_validates_format():
         load_graph("whatever", fmt="gml")
 
 
+# a symbolic-name edge list whose names are not ASCII
+NAMED_TEXT = "3 2\nÅsa bjørn\nbjørn 李\n"
+
+
+def test_load_graph_reads_crlf_utf8_as_its_lf_twin(tmp_path):
+    lf = tmp_path / "lf.txt"
+    crlf = tmp_path / "crlf.txt"
+    lf.write_bytes(NAMED_TEXT.encode("utf-8"))
+    crlf.write_bytes(NAMED_TEXT.replace("\n", "\r\n").encode("utf-8"))
+    a, b = load_graph(lf, "edgelist"), load_graph(crlf, "edgelist")
+    assert a == b
+    assert a.names == b.names == ["Åsa", "bjørn", "李"]
+    man = tmp_path / "måns.txt"
+    man.write_bytes("# første\r\nlf.txt crlf.txt\r\n".encode("utf-8"))
+    assert read_manifest(man) == [(str(lf), str(crlf))]
+
+
+def test_load_graph_ignores_the_locale_encoding(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(NAMED_TEXT.encode("utf-8"))
+    src = str(Path(mcis.bench.__file__).parents[1])
+    code = (
+        "import locale, sys; from mcis.bench import load_graph; "
+        "print(locale.getpreferredencoding(False)); print(ascii(load_graph(sys.argv[1], 'edgelist').names))"
+    )
+    # the C locale without coercion or UTF-8 mode decodes text files as ASCII
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    if "utf" in out[0].lower().replace("-", ""):
+        pytest.skip(f"this platform's C locale reads {out[0]}")
+    assert out[1] == ascii(["Åsa", "bjørn", "李"])
+
+
 # -- manifests -------------------------------------------------------------------
 
 
@@ -128,14 +168,16 @@ def test_read_manifest_rejects_odd_lines(tmp_path):
 # -- aggregation -----------------------------------------------------------------
 
 
-def report(instance, config, wall=1.0, completed=True, size=3, err=None, var=0, val=0, bound=1):
+def report(
+    instance, config, wall=1.0, completed=True, size=3, err=None, var=0, val=0, bound=1, branches=10
+):
     return {
         "instance": instance,
         "config": config,
         "incumbent_size": size,
         "completed": completed,
         "wall_time": wall,
-        "branches": 10,
+        "branches": branches,
         "bound_prunes": bound,
         "var_sym_prunes": var,
         "val_sym_prunes": val,
@@ -161,6 +203,25 @@ def test_aggregate_speedups_on_co_solved():
     assert row["mean_speedup"] == pytest.approx(2.5)
     assert row["max_speedup"] == pytest.approx(4.0)
     assert row["co_unsolved"] == 0
+
+
+def test_aggregate_branch_ratio_sums_co_solved_pairs():
+    reports = [
+        report("a", "dual", branches=10),
+        report("a", "none", branches=100),
+        report("b", "dual", branches=30),
+        report("b", "none", branches=60),
+        # neither is co-solved, so neither counts
+        report("c", "dual", branches=1, completed=False),
+        report("c", "none", branches=1000),
+        report("d", "dual", branches=1),
+        report("d", "none", branches=1000, err="boom"),
+    ]
+    summary = aggregate_reports(reports, ["dual", "none"], timeout=10.0)
+    # summed, not averaged: (100 + 60) / (10 + 30), where the mean ratio is 6
+    assert summary["comparisons"][0]["branch_ratio"] == pytest.approx(4.0)
+    only_unsolved = aggregate_reports(reports[4:6], ["dual", "none"], timeout=10.0)
+    assert only_unsolved["comparisons"][0]["branch_ratio"] == 0.0
 
 
 def test_aggregate_incumbent_deltas_on_co_unsolved():
@@ -247,6 +308,26 @@ def test_run_batch_end_to_end(tmp_path):
     assert len(comparison) == 2
 
 
+def test_run_batch_branch_ratio_on_known_counts(tmp_path):
+    g_path = write(tmp_path / "g.lad", to_lad(graph_g()))
+    h_path = write(tmp_path / "h.lad", to_lad(graph_h()))
+    star = Graph(7, [(0, i) for i in range(1, 7)])
+    write(tmp_path / "star.lad", to_lad(star))
+    man = write(tmp_path / "manifest.txt", "g.lad h.lad\nstar.lad star.lad\n")
+    out = tmp_path / "results"
+    summary = run_batch(man, configs=["dual", "none"], jobs=1, out_dir=out, timeout=5.0)
+    star_none = solve(star, star, SolverConfig("none")).stats.branches
+    star_dual = solve(star, star, SolverConfig("dual")).stats.branches
+    want = (BRANCHES["none"] + star_none) / (BRANCHES["dual"] + star_dual)
+    row = summary["comparisons"][0]
+    assert row["co_solved"] == 2
+    assert row["branch_ratio"] == pytest.approx(want)
+    comparison = (out / "comparison.csv").read_text().splitlines()
+    assert comparison[0].endswith(",mean_delta,branch_ratio")
+    assert float(comparison[1].split(",")[-1]) == pytest.approx(want, rel=1e-5)
+    assert json.loads((out / "summary.json").read_text())["comparisons"][0]["branch_ratio"] == row["branch_ratio"]
+
+
 def test_run_batch_empty_manifest_writes_headers_only(tmp_path):
     man = write(tmp_path / "empty.txt", "# nothing\n")
     out = tmp_path / "results"
@@ -254,7 +335,7 @@ def test_run_batch_empty_manifest_writes_headers_only(tmp_path):
     assert (out / "cumulative.csv").read_text() == "time_bound_s,solved_dual,solved_none\n"
     assert (
         out / "comparison.csv"
-    ).read_text() == "candidate,baseline,co_solved,mean_speedup,max_speedup,co_unsolved,mean_delta\n"
+    ).read_text() == "candidate,baseline,co_solved,mean_speedup,max_speedup,co_unsolved,mean_delta,branch_ratio\n"
     assert (out / "reports.jsonl").read_text() == ""
 
 

@@ -4,7 +4,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import MODES, corpus_pairs
 from known_instance import BRANCHES, OPTIMUM, graph_g, graph_h
@@ -17,13 +17,16 @@ from mcis import (
     is_isomorphism,
     solve,
 )
-from mcis.solver import _split, _value_order
+from mcis.solver import _degrees, _split, _value_order
 from reference import (
     Bidomain,
+    arc_count,
+    complement,
     degree,
     induced_subgraph,
     initial_partition,
     order_values,
+    reference_orient,
     reference_ranks,
     reference_solve,
     refine_partition,
@@ -141,7 +144,7 @@ def test_order_values_singleton():
 
 def test_value_order_ranks_is_permutation():
     h = graph_h()
-    order = _value_order(h, compute_symmetry_classes(h))
+    order = _value_order(_degrees(h), compute_symmetry_classes(h))
     assert sorted(order) == list(range(h.n))
     # highest degree vertex gets rank 0
     top = max(range(h.n), key=lambda u: (degree(h, u), -u))
@@ -547,14 +550,14 @@ def test_value_order_ranks_match_reference_on_corpus():
     # the corpus mixes directed graphs, loops and twins of both kinds
     for pair in corpus_pairs():
         for h in (pair.g, pair.h):
-            assert _value_order(h, compute_symmetry_classes(h)) == _reference_order(h), pair.index
+            assert _value_order(_degrees(h), compute_symmetry_classes(h)) == _reference_order(h), pair.index
 
 
 @settings(max_examples=200, deadline=None)
 @given(_graph_pairs())
 def test_value_order_ranks_match_reference_property(pair):
     for h in pair:
-        assert _value_order(h, compute_symmetry_classes(h)) == _reference_order(h)
+        assert _value_order(_degrees(h), compute_symmetry_classes(h)) == _reference_order(h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -572,6 +575,56 @@ def test_engine_matches_reference_property(pair):
         assert is_isomorphism(g, h, sol.mapping), name
         sizes.add(got.incumbent_size)
     assert len(sizes) == 1
+
+
+# -- orientation: the smaller graph branches, a dense pair is complemented ----
+
+
+def _counters(stats):
+    """Every search counter of a solve, without its timing."""
+    return {k: v for k, v in vars(stats).items() if k != "time_to_best"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_pairs())
+def test_solve_is_the_same_either_way_round(pair):
+    g, h = pair
+    assume(g.n != h.n)
+    for name in CONFIG_NAMES:
+        config = SolverConfig(name)
+        a, b = solve(g, h, config), solve(h, g, config)
+        assert _counters(a.stats) == _counters(b.stats), name
+        assert b.mapping == [(u, v) for v, u in a.mapping], name
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_pairs())
+def test_solve_is_the_same_on_both_complements(pair):
+    g, h = pair
+    # at exactly half, only the originals are searched as they are
+    assume(2 * (arc_count(g) + arc_count(h)) != g.n * (g.n - 1) + h.n * (h.n - 1))
+    g_bar, h_bar = complement(g), complement(h)
+    for name in CONFIG_NAMES:
+        config = SolverConfig(name)
+        a, b = solve(g, h, config), solve(g_bar, h_bar, config)
+        assert _counters(a.stats) == _counters(b.stats), name
+        assert a.mapping == b.mapping, name
+        assert is_isomorphism(g, h, a.mapping) and is_isomorphism(g_bar, h_bar, a.mapping), name
+
+
+def test_loops_still_match_loops_on_a_swapped_complemented_pair():
+    # complete digraphs, looped at g's 3 and h's 0: searched swapped, on
+    # two loop-only graphs, where 3 can still go only to 0
+    g = Graph(4, [(a, b) for a in range(4) for b in range(4) if a != b] + [(3, 3)], directed=True)
+    h = Graph(3, [(a, b) for a in range(3) for b in range(3) if a != b] + [(0, 0)], directed=True)
+    og, oh, swapped = reference_orient(g, h)
+    assert swapped and og == complement(h) and oh == complement(g)
+    assert brute_force_mcis(g, h).size == 3
+    for name in CONFIG_NAMES:
+        sol = solve(g, h, SolverConfig(name))
+        assert len(sol.mapping) == 3 and (3, 0) in sol.mapping, name
+        assert all(g.loops[v] == h.loops[u] for v, u in sol.mapping), name
+        assert is_isomorphism(g, h, sol.mapping), name
 
 
 def test_solve_matches_oracle_on_small_pairs():
