@@ -5,10 +5,9 @@ a partition of bidomains: a bidomain pairs the G-vertices and H-vertices
 whose adjacency pattern towards the already-matched pairs is identical, so
 any vertex on the left side may still be matched to any vertex on the right
 side. Matching v to u splits every bidomain by adjacency to v and u;
-deciding to leave v unmatched (recorded as the pair ``(v, None)``) removes v
-and searches the rest. The incumbent is the best mapping seen so far and
-a branch is abandoned whenever matched-count plus the sum of min(side sizes)
-cannot beat it.
+deciding to leave v unmatched removes v and searches the rest. The
+incumbent is the best mapping seen so far and a branch is abandoned
+whenever matched-count plus the sum of min(side sizes) cannot beat it.
 
 Two optional pruning rules exploit interchangeable vertices (see
 :mod:`mcis.symmetry`):
@@ -31,24 +30,52 @@ The search runs on the pair in its cheaper orientation; neither step
 changes the optimum. The smaller graph branches: when G has more vertices
 than H, the search runs on (H, G), and each reported pair is swapped back.
 A dense pair, one with more than half of all arcs between distinct
-vertices (an undirected edge is two arcs), runs on the complements of
+vertices (an undirected edge is two arcs), runs on the complement rows of
 both graphs, loops kept; an induced isomorphism of the complements is one
-of the originals. Detection, the value order, both rules and the search
-then run on that pair unchanged, so every counter is the oriented
-search's.
+of the originals. The value order, both rules and the search then run on
+those rows unchanged, so every counter is the oriented search's.
 
-Module layout: ``solve`` orients the pair, relabels G into bitset rows,
-and H row by row when a split first needs one, and runs the search as one
-loop over a stack of pending nodes. A candidate child waits on the stack
-unsplit, beside its parent's bidomains and bound, and is split only when
-popped, if that bound still beats the incumbent. The counters live in
-locals of the loop and reach its ``SearchStats`` once, when the loop ends.
-The choice of bidomain and vertex, the bound and both pruning rules are
-spelled inline in that loop, and ``_split`` is its one partition
-operation. The same decisions
-over plain vertex lists, as McSplit writes them, live in
-``tests/reference.py``: they are the independent reference the tests hold
-the search to, counter for counter and pair for pair.
+The search runs on bitsets. G is relabelled by (-degree, id), so the
+branching vertex of a bidomain is its lowest set bit. H is relabelled by
+the value order, so a vertex's label is its rank, unmatched is rank n, and
+walking a bidomain's H bits upward yields the candidates in value order.
+G's rows are relabelled up front; an H row the first time a split reads
+it, since most H vertices of a large sparse target never become a
+candidate that gets split. A bidomain is a ``(g_bits, h_bits, g_len,
+h_len)`` tuple, and :func:`_split`, the one partition operation, halves
+every bidomain by one row per side. The root is the whole vertex sets
+split by loop flag; a match splits by the out-rows of the pair and, for
+directed graphs, then by the in-rows. Pairs are mapped back to the
+original ids only when an incumbent is recorded.
+
+``solve`` runs the search as one loop over a stack of pending nodes, so
+memory, not the recursion limit, bounds its depth. An entry holds
+bidomains, matched count, path length above the node, the pair leading to
+it, a bound and a split index. A node takes v out of its chosen bidomain
+in its own list, then pushes its unmatched child, with that list and its
+exact bound, and its candidates from the top rank down, so they pop in
+value order with the unmatched child last, as the counters expect.
+
+A candidate is pushed unsplit, with the same list, the node's bound and
+the chosen index. A child's bound never exceeds its parent's: the chosen
+bidomain's min falls by one, the match adds one back, and splitting only
+lowers the sum. So a popped node is decided by one test. A candidate whose
+parent's bound still beats the incumbent is split first: it takes u out of
+the chosen bidomain, splits the list and puts the bidomain back. Then any
+node whose bound does not beat the incumbent is pruned, and counted as
+such. No other node reads the list meanwhile: it is the root, a split's
+result or a parent's list that all of the parent's candidates are done
+with, and the unmatched child, which takes it over, pops after every
+sibling. Only when v was the chosen bidomain's last G vertex does the
+unmatched child get a copy without that bidomain.
+
+The counters live in locals of the loop and reach its ``SearchStats``
+once, when the loop ends, which a timeout does by ``break``. The choice of
+bidomain and vertex, the bound and both pruning rules are spelled inline
+in that loop. The same decisions over plain vertex lists, as McSplit
+writes them, live in ``tests/reference.py``: they are the independent
+reference the tests hold the search to, counter for counter and pair for
+pair.
 """
 
 from __future__ import annotations
@@ -118,13 +145,13 @@ def _degrees(g: Graph) -> list[int]:
     return deg
 
 
-def _complement(g: Graph) -> Graph:
-    """g with every arc between two distinct vertices flipped. Loop flags
-    sit in no row, so they are kept, as are the names."""
+def _complement(g: Graph) -> tuple[list[int], list[int]]:
+    """The (out, in) rows of g with every arc between two distinct vertices
+    flipped. Loop flags sit in no row, so the complement keeps g's."""
     full = (1 << g.n) - 1
     out = [full ^ row ^ 1 << v for v, row in enumerate(g.out_bits)]
     inn = [full ^ row ^ 1 << v for v, row in enumerate(g.in_bits)] if g.directed else out
-    return Graph(g.n, directed=g.directed, names=g.names, rows=(out, inn, g.loops))
+    return out, inn
 
 
 def _positions(order: list[int]) -> list[int]:
@@ -142,8 +169,8 @@ def _value_order(deg: list[int], classes_h: SymmetryClasses) -> list[int]:
     equal keys.
 
     A vertex's position in this order is its rank: lower means tried
-    earlier and considered smaller by the pruning rules, and ``None``
-    (unmatched) is larger than every rank. Interchangeable vertices share
+    earlier and considered smaller by the pruning rules, and unmatched,
+    rank n, is larger than every vertex's. Interchangeable vertices share
     degree and class, so they are consecutive and fall back to id order
     among themselves.
     """
@@ -182,56 +209,18 @@ def _split(bds, g_row, h_row):
 def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     """Find a maximum common induced subgraph of g and h.
 
-    The pair is oriented first: g and h swap places when g has more
-    vertices, and a pair holding more than half of all possible arcs is
-    replaced by the complements of both graphs (see :func:`_complement`).
-    Everything below runs on the oriented pair, so the counters are those
-    of its search; the mapping is swapped back into (g-vertex, h-vertex)
-    pairs at the end. Hence when the sizes differ, ``solve(h, g)`` gives
-    the same counters as ``solve(g, h)`` and the mirrored mapping.
+    Interchangeability classes of both graphs are computed here, inside the
+    measured solve, and drive the pruning rules the config enables. The
+    search runs on the pair in its cheaper orientation (see the module
+    docstring), so the counters are those of that search, while the
+    mapping is always (g-vertex, h-vertex) pairs. Hence when the sizes
+    differ, ``solve(h, g)`` gives the same counters as ``solve(g, h)`` and
+    the mirrored mapping.
 
-    Interchangeability classes for both graphs are computed here, inside the
-    measured solve, and drive the two pruning rules when enabled. On timeout
-    the incumbent found so far is returned with ``stats.completed`` false.
-
-    The search runs on bitsets. G is relabelled by (-degree, id), so the
-    branching vertex of a bidomain is its lowest set bit. H is relabelled by
-    the value order, so a vertex's label is its rank, and walking a
-    bidomain's H bits upward yields the candidates in value order. G's rows
-    are relabelled up front; an H row is relabelled the first time a split
-    reads it, since most H vertices of a large sparse target never become a
-    candidate that gets split. A bidomain is a ``(g_bits, h_bits, g_len,
-    h_len)`` tuple, and :func:`_split` is the one partition operation: it
-    halves every bidomain by one row per side. The root is the whole vertex
-    sets split by loop flag; a match splits by the out-rows of the pair and,
-    for directed graphs, then by the in-rows. Pairs are mapped back to the
-    original ids only when an incumbent is recorded.
-
-    The search pops pending nodes off a stack, so memory, not the recursion
-    limit, bounds its depth. An entry holds bidomains, matched count, path
-    length above the node, the pair leading to it, a bound and a split
-    index. A node takes v out of its chosen bidomain in its own list, then
-    pushes its unmatched child, with that list and its exact bound, and its
-    candidates from the top rank down, so they pop in value order with the
-    unmatched child last, as the counters expect.
-
-    A candidate is pushed unsplit: its entry holds the same list, the
-    node's bound and the chosen index. When popped, it takes u out of the
-    chosen bidomain, splits the list and puts the bidomain back. No other
-    node reads the list meanwhile: it is the root, a split's result or a
-    parent's list that all of the parent's candidates are done with, and
-    the unmatched child, which takes it over, pops after every sibling. Only
-    when v was the chosen bidomain's last G vertex does the unmatched child
-    get a copy without that bidomain.
-
-    A child's bound never exceeds its parent's: the chosen bidomain's min
-    falls by one, the match adds one back, and splitting only lowers the
-    sum. So the parent's bound stands in for a candidate's until it is
-    split, and a candidate it cannot lift above the incumbent is pruned,
-    and counted as such, without being split.
-
-    The counters are kept in locals and written to ``stats`` once, after
-    the loop, which a timeout leaves by ``break``.
+    With a timeout, the clock is read at the root and then every
+    ``_CHECK_INTERVAL`` nodes; past the deadline, the incumbent found so
+    far is returned with ``stats.completed`` false. Raises ``ValueError``
+    when a graph is empty or the two differ in directedness.
     """
     if config is None:
         config = SolverConfig()
@@ -246,14 +235,18 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     if swapped:
         g, h = h, g
     deg_g, deg_h = _degrees(g), _degrees(h)
+    g_rows, h_rows = (g.out_bits, g.in_bits), (h.out_bits, h.in_bits)
     # top is the largest degree (in plus out when directed), so a complete
     # graph's degrees sum to n * top, and a complement's degrees are top - d
     ways = 2 if g.directed else 1
     top_g, top_h = (g.n - 1) * ways, (h.n - 1) * ways
     if 2 * (sum(deg_g) + sum(deg_h)) > g.n * top_g + h.n * top_h:
-        g, h = _complement(g), _complement(h)
+        g_rows, h_rows = _complement(g), _complement(h)
         deg_g = [top_g - d for d in deg_g]
         deg_h = [top_h - d for d in deg_h]
+    # complementing swaps every vertex's open and closed neighbourhoods, so
+    # a complement has its graph's class_id and class_members; only
+    # class_kind flips, and the search never reads it
     classes_g = compute_symmetry_classes(g)
     classes_h = compute_symmetry_classes(h)
 
@@ -263,25 +256,25 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     g_new = _positions(g_ids)
     rank = _positions(h_ids)
     directed = g.directed
-    g_out = [_relabel_row(g.out_bits[v], g_new) for v in g_ids]
-    g_in = [_relabel_row(g.in_bits[v], g_new) for v in g_ids] if directed else None
+    g_out = [_relabel_row(g_rows[0][v], g_new) for v in g_ids]
+    g_in = [_relabel_row(g_rows[1][v], g_new) for v in g_ids] if directed else None
     # relabelled on first use, indexed by rank
     h_out = [None] * h.n
-    h_in = [None] * h.n
+    h_in = [None] * h.n if directed else None
     gclass = [classes_g.class_id[v] for v in g_ids]
     hclass = [classes_h.class_id[u] for u in h_ids]
     g_peers = [c in classes_g.class_members for c in gclass]
     bot_rank = h.n
     use_var, use_val = _CONFIG_RULES[config.name]
     deadline = None if config.timeout is None else t0 + config.timeout
-    tick = 1
 
     # a looped vertex can only match a looped one
     g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v]) if any(g.loops) else 0
     h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u]) if any(h.loops) else 0
     root, root_bound = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
 
-    mapping: list[tuple[int, int | None]] = []
+    # (v, rank) pairs, where rank bot_rank leaves v unmatched
+    mapping: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
     branches = bound_prunes = var_sym_prunes = val_sym_prunes = 0
     incumbent = 0
@@ -295,51 +288,47 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     while stack:
         bds, mc, depth, pair, bound, bi = stack.pop()
         branches += 1
-        tick -= 1
-        if tick <= 0:
-            tick = _CHECK_INTERVAL
-            if deadline is not None and perf_counter() >= deadline:
-                completed = False
-                break
-        if bound <= incumbent:
-            # for a candidate not yet split this is its parent's bound,
-            # which its own cannot exceed
-            bound_prunes += 1
-            continue
+        if deadline is not None and (branches - 1) % _CHECK_INTERVAL == 0 and perf_counter() >= deadline:
+            completed = False
+            break
 
-        if bi >= 0:
+        # a candidate not yet split holds its parent's bound, which its own
+        # cannot exceed, so only one that bound keeps is split
+        if bi >= 0 and bound > incumbent:
             v, u = pair
             chosen = bds[bi]
             gb, hb, gl, hl = chosen
             bds[bi] = (gb, hb ^ (1 << u), gl, hl - 1)
             h_row = h_out[u]
             if h_row is None:
-                h_row = h_out[u] = _relabel_row(h.out_bits[h_ids[u]], rank)
+                h_row = h_out[u] = _relabel_row(h_rows[0][h_ids[u]], rank)
             child, bound = _split(bds, g_out[v], h_row)
             if directed:
                 h_row = h_in[u]
                 if h_row is None:
-                    h_row = h_in[u] = _relabel_row(h.in_bits[h_ids[u]], rank)
+                    h_row = h_in[u] = _relabel_row(h_rows[1][h_ids[u]], rank)
                 # (out, in) buckets in the order 00, 01, 10, 11
                 child, bound = _split(child, g_in[v], h_row)
             bds[bi] = chosen
             bds = child
             bound += mc
-
-        if bound > incumbent:
-            # only a node the bound keeps reads the path, and a new
-            # incumbent is such a node, since mc <= bound
-            del mapping[depth:]
-            if pair is not None:
-                mapping.append(pair)
-            if mc > incumbent:
-                incumbent = mc
-                best = [(g_ids[v], h_ids[u]) for v, u in mapping if u is not None]
-                time_to_best = perf_counter() - t0
-                branches_to_best = branches
         if bound <= incumbent:
             bound_prunes += 1
             continue
+
+        # only a node the bound keeps reads the path
+        del mapping[depth:]
+        if pair is not None:
+            mapping.append(pair)
+        if mc > incumbent:
+            incumbent = mc
+            best = [(g_ids[v], h_ids[u]) for v, u in mapping if u < bot_rank]
+            time_to_best = perf_counter() - t0
+            branches_to_best = branches
+            if bound == mc:
+                # nothing is left to match
+                bound_prunes += 1
+                continue
         path_len = len(mapping)
 
         best_i = 0
@@ -359,10 +348,8 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         if use_var and g_peers[v]:
             cls = gclass[v]
             for pv, pu in mapping:
-                if gclass[pv] == cls:
-                    rk = bot_rank if pu is None else pu
-                    if rk > var_bound:
-                        var_bound = rk
+                if pu > var_bound and gclass[pv] == cls:
+                    var_bound = pu
 
         # every child lacks v; the candidates take u out too when popped,
         # and the unmatched child, which pops after them all, takes the
@@ -375,7 +362,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             del rest[best_i]
         # leaving v out lowers the chosen min by one exactly when G's side,
         # now short of v, is the smaller
-        stack.append((rest, mc, path_len, (v, None), bound - (gl < hl), -1))
+        stack.append((rest, mc, path_len, (v, bot_rank), bound - (gl < hl), -1))
 
         prev_class = -1
         cands = hb

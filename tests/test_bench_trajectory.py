@@ -4,22 +4,25 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_trajectory.py"
 _SPEC = importlib.util.spec_from_file_location("bench_trajectory", _PATH)
 bench_trajectory = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trajectory)
 
 
-def bench(created, branches, var_branches, extra=None):
+def bench(created, branches, var_branches, extra=None, var_completed=2):
     counters = {"branches": branches, "solver.bound_prunes": 7}
     counters.update(extra or {})
+    var = {"branches": var_branches, "completed": var_completed, "instances": 2}
     return {
         "created": created,
         "workloads": {
             "random-undirected": {"counters": counters},
             "large-sparse": {"counters": {"branches": 5}},
         },
-        "rules": {"workload": "twins-symmetric", "seed": 1, "configs": {"var": {"branches": var_branches}}},
+        "rules": {"workload": "twins-symmetric", "seed": 1, "configs": {"var": var}},
     }
 
 
@@ -35,6 +38,11 @@ def test_drift_names_each_changed_or_missing_counter():
         {"scope": "twins-symmetric seed 1", "counter": "var.branches", "previous": 30, "current": 31}
     ]
     assert bench_trajectory.drift(newer, newer) == []
+    # a timed-out run makes its branch total depend on the machine
+    timed_out = bench("2026-01-04T00:00:00+00:00", 90, 31, extra={"solver.val_sym_prunes": 4}, var_completed=1)
+    assert bench_trajectory.drift(newer, timed_out) == [
+        {"scope": "twins-symmetric seed 1", "counter": "var.completed", "previous": 2, "current": 1}
+    ]
 
 
 def test_previous_file_is_the_latest_created_other_than_the_target(tmp_path):
@@ -44,3 +52,18 @@ def test_previous_file_is_the_latest_created_other_than_the_target(tmp_path):
     # a rerun of a label compares with the file before it, not with itself
     assert bench_trajectory.latest(tmp_path, tmp_path / "BENCH_a.json").name == "BENCH_c.json"
     assert bench_trajectory.latest(tmp_path / "missing", tmp_path / "BENCH_a.json") is None
+
+
+@pytest.mark.parametrize("var_completed, code", [(2, 0), (1, 1)])
+def test_main_fails_when_a_rules_run_times_out(monkeypatch, tmp_path, var_completed, code):
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    spec = {"run_seconds": 1, "workloads": [{"name": "large-sparse"}]}
+    (checkout / "BENCHMARK.json").write_text(json.dumps(spec))
+    verdict = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"branches": {"value": 5, "unit": "count"}}}
+    configs = bench("", 0, 30, var_completed=var_completed)["rules"]["configs"]
+    monkeypatch.setattr(bench_trajectory, "run_workload", lambda *args: verdict)
+    monkeypatch.setattr(bench_trajectory, "rule_totals", lambda root: configs)
+    assert bench_trajectory.main([str(checkout), "x", "--out", str(tmp_path)]) == code
+    written = json.loads((tmp_path / "BENCH_x.json").read_bytes())
+    assert written["rules"]["configs"] == configs and written["drift"] == []

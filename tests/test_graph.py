@@ -384,6 +384,14 @@ def test_is_isomorphism_rejects_repeated_vertices():
     assert not is_isomorphism(Graph(1), Graph(2), [(0, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("pair", [(5, 0), (-1, 0), (0, 2), (0, -1), (2, 2)])
+def test_is_isomorphism_rejects_out_of_range_vertices(pair):
+    # an id past either graph, negative ones included, is no vertex to match
+    k2 = Graph(2, [(0, 1)])
+    assert not is_isomorphism(k2, k2, [pair])
+    assert not is_isomorphism(k2, k2, [(1, 1), pair])
+
+
 @given(graphs(loops=True), st.randoms(use_true_random=False))
 def test_induced_relabelling_is_isomorphism(g, rng):
     vs = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))

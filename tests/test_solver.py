@@ -627,6 +627,30 @@ def test_loops_still_match_loops_on_a_swapped_complemented_pair():
         assert is_isomorphism(g, h, sol.mapping), name
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_complemented_pair_builds_no_graph(monkeypatch, directed):
+    # the complement is searched on rows alone; a Graph built inside solve
+    # would also count as parsing in the benchmark's traced Graph.__init__
+    rng = random.Random(7)
+    ordered = [(a, b) for a in range(10) for b in range(10) if a != b and (directed or a < b)]
+    loops = [(v, v) for v in range(10) if directed and rng.random() < 0.5]
+    g, h = (Graph(10, [e for e in ordered if rng.random() < 0.8] + loops, directed=directed) for _ in range(2))
+    assert 2 * (arc_count(g) + arc_count(h)) > 2 * 10 * 9
+    calls = 0
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    sol = solve(g, h)
+    assert calls == 0
+    assert sol.stats.incumbent_size == brute_force_mcis(g, h).size
+    assert is_isomorphism(g, h, sol.mapping)
+
+
 def test_solve_matches_oracle_on_small_pairs():
     rng = random.Random(99)
     for _ in range(40):

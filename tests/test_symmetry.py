@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from known_instance import G_CLASSES, H_CLASSES, graph_g, graph_h
 from reference import (
     are_symmetric,
+    complement,
     edge_list,
     kind_of,
     negative_neighborhood,
@@ -12,6 +13,7 @@ from reference import (
     verify_swap_automorphism,
 )
 from mcis import Graph, compute_symmetry_classes
+from mcis.symmetry import NEGATIVE, POSITIVE
 
 
 @st.composite
@@ -245,3 +247,16 @@ def test_classes_match_tuple_key_grouping(g):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert are_symmetric(classes, u, v) == verify_swap_automorphism(g, u, v)
+
+
+@settings(max_examples=300)
+@given(mode_graphs())
+def test_complement_has_the_same_classes_of_the_other_kind(g):
+    # complementing swaps open and closed neighbourhoods, so the solver may
+    # detect classes on a dense graph it searches on the complement rows of
+    classes = compute_symmetry_classes(g)
+    flipped = compute_symmetry_classes(complement(g))
+    assert flipped.class_id == classes.class_id
+    assert flipped.class_members == classes.class_members
+    other = {NEGATIVE: POSITIVE, POSITIVE: NEGATIVE}
+    assert flipped.class_kind == {c: other[kind] for c, kind in classes.class_kind.items()}

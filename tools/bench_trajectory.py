@@ -17,13 +17,14 @@ The file, written to DIR (default: the directory above this script), holds:
 * the end-to-end and per-layer metrics of every workload, as run.py prints
   them, and whether each run was correct;
 * the deterministic counters: every metric counted in ``count`` units, and
-  the two branch totals;
+  each rule configuration's branch total and count of completed runs;
 * an environment block: Python version, CPU count, ``git describe``;
 * the counters that differ from the previous BENCH file, the one in DIR
   with the latest ``created`` time.
 
 Counters that drift are printed to standard error as well. The exit code is
-1 when a run was not correct, else 0.
+1 when a run was not correct, or when a rule configuration's run timed out
+(its branch total then depends on the machine's speed), else 0.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ def counters(bench: dict) -> dict:
             out[(workload, name)] = value
     rules = bench["rules"]
     for name, data in rules["configs"].items():
-        out[(f"{rules['workload']} seed {rules['seed']}", f"{name}.branches")] = data["branches"]
+        scope = f"{rules['workload']} seed {rules['seed']}"
+        out[(scope, f"{name}.branches")] = data["branches"]
+        out[(scope, f"{name}.completed")] = data["completed"]
     return out
 
 
@@ -152,6 +155,11 @@ def main(argv=None) -> int:
         workloads[workload] = data
 
     print(f"{RULES_WORKLOAD} seed {RULES_SEED} in-process {', '.join(RULES)} ...", file=sys.stderr, flush=True)
+    configs = rule_totals(root)
+    for name, data in configs.items():
+        if data["completed"] < data["instances"]:
+            print(f"error: {name} completed {data['completed']} of {data['instances']} runs", file=sys.stderr)
+            ok = False
     bench = {
         "label": args.label,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -163,7 +171,7 @@ def main(argv=None) -> int:
             "git_describe": git_describe(root),
         },
         "workloads": workloads,
-        "rules": {"workload": RULES_WORKLOAD, "seed": RULES_SEED, "configs": rule_totals(root)},
+        "rules": {"workload": RULES_WORKLOAD, "seed": RULES_SEED, "configs": configs},
     }
     previous = latest(args.out, target)
     bench["previous"] = previous.name if previous else None
