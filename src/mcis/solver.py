@@ -51,23 +51,29 @@ original ids only when an incumbent is recorded.
 ``solve`` runs the search as one loop over a stack of pending nodes, so
 memory, not the recursion limit, bounds its depth. An entry holds
 bidomains, matched count, path length above the node, the pair leading to
-it, a bound and a split index. A node takes v out of its chosen bidomain
-in its own list, then pushes its unmatched child, with that list and its
-exact bound, and its candidates from the top rank down, so they pop in
-value order with the unmatched child last, as the counters expect.
+it, a bound, a split index and the index of the bidomain it branches on.
+A node takes v out of its chosen bidomain in its own list, then pushes its
+unmatched child, with that list and its exact bound, and its candidates
+from the top rank down, so they pop in value order with the unmatched
+child last, as the counters expect.
 
 A candidate is pushed unsplit, with the same list, the node's bound and
 the chosen index. A child's bound never exceeds its parent's: the chosen
 bidomain's min falls by one, the match adds one back, and splitting only
 lowers the sum. So a popped node is decided by one test. A candidate whose
 parent's bound still beats the incumbent is split first: it takes u out of
-the chosen bidomain, splits the list and puts the bidomain back. Then any
-node whose bound does not beat the incumbent is pruned, and counted as
-such. No other node reads the list meanwhile: it is the root, a split's
-result or a parent's list that all of the parent's candidates are done
-with, and the unmatched child, which takes it over, pops after every
-sibling. Only when v was the chosen bidomain's last G vertex does the
-unmatched child get a copy without that bidomain.
+the chosen bidomain, splits the list and puts the bidomain back. The split
+stops as soon as the halves have lost more of the list's min sides than
+the bound's lead over the incumbent allows, and the candidate is pruned;
+else it also gives the candidate its choice, the first half with the
+smallest max side. Then any node whose bound does not beat the incumbent
+is pruned, and counted as such. No other node reads the list meanwhile: it
+is the root, a split's result or a parent's list that all of the parent's
+candidates are done with, and the unmatched child, which takes it over,
+pops after every sibling. The unmatched child keeps its parent's choice,
+since taking G vertices out only lowers that bidomain's max. Only when v
+was the chosen bidomain's last G vertex does it get a copy without that
+bidomain, and scan the copy for its choice.
 
 The counters live in locals of the loop and reach its ``SearchStats``
 once, when the loop ends, which a timeout does by ``break``. The choice of
@@ -179,31 +185,54 @@ def _value_order(deg: list[int], classes_h: SymmetryClasses) -> list[int]:
     return sorted(range(n), key=keys.__getitem__)
 
 
-def _split(bds, g_row, h_row):
+def _split(bds, g_row, h_row, slack):
     """Every bidomain halved by adjacency to one row per side.
 
     The no-edge half comes first, and a half with an empty side is dropped:
-    none of its vertices can be matched any more. Returns the halves and
-    the sum of min(g_len, h_len) over them, the bound's share of them.
+    none of its vertices can be matched any more. ``slack`` is how much of
+    the sum of min(g_len, h_len) over ``bds`` the halves may lose. Returns
+    ``None`` as soon as they have lost more, else the halves, the slack
+    left and the index of the first half with the smallest max(g_len,
+    h_len), the bidomain the search branches on next.
     """
     out = []
-    total = 0
-    for gb, hb, _, _ in bds:
+    best_k = 1 << 60
+    choice = 0
+    for gb, hb, gl, hl in bds:
         g1 = gb & g_row
         h1 = hb & h_row
         g0 = gb ^ g1
         h0 = hb ^ h1
+        slack -= gl if gl < hl else hl
         if g0 and h0:
             gl = g0.bit_count()
             hl = h0.bit_count()
+            if gl < hl:
+                slack += gl
+                k = hl
+            else:
+                slack += hl
+                k = gl
+            if k < best_k:
+                best_k = k
+                choice = len(out)
             out.append((g0, h0, gl, hl))
-            total += gl if gl < hl else hl
         if g1 and h1:
             gl = g1.bit_count()
             hl = h1.bit_count()
+            if gl < hl:
+                slack += gl
+                k = hl
+            else:
+                slack += hl
+                k = gl
+            if k < best_k:
+                best_k = k
+                choice = len(out)
             out.append((g1, h1, gl, hl))
-            total += gl if gl < hl else hl
-    return out, total
+        if slack < 0:
+            return None
+    return out, slack, choice
 
 
 def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
@@ -271,7 +300,9 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     # a looped vertex can only match a looped one
     g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v]) if any(g.loops) else 0
     h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u]) if any(h.loops) else 0
-    root, root_bound = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops)
+    # with all of its min side as slack, the root's slack left is its bound
+    top = min(g.n, h.n)
+    root, root_bound, root_i = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops, top)
 
     # (v, rank) pairs, where rank bot_rank leaves v unmatched
     mapping: list[tuple[int, int]] = []
@@ -282,18 +313,20 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     branches_to_best = 0
     completed = True
     # pending nodes: (bidomains, matched count, path length above, pair,
-    # bound, split index); a split index of -1 marks bidomains already split
-    stack = [(root, 0, 0, None, root_bound, -1)]
+    # bound, split index, choice); a split index of -1 marks bidomains
+    # already split, a choice of -1 one the node must scan for
+    stack = [(root, 0, 0, None, root_bound, -1, root_i)]
 
     while stack:
-        bds, mc, depth, pair, bound, bi = stack.pop()
+        bds, mc, depth, pair, bound, bi, best_i = stack.pop()
         branches += 1
         if deadline is not None and (branches - 1) % _CHECK_INTERVAL == 0 and perf_counter() >= deadline:
             completed = False
             break
 
         # a candidate not yet split holds its parent's bound, which its own
-        # cannot exceed, so only one that bound keeps is split
+        # cannot exceed, so only one that bound keeps is split, and the
+        # split stops once the loss would cost the bound its lead
         if bi >= 0 and bound > incumbent:
             v, u = pair
             chosen = bds[bi]
@@ -302,16 +335,21 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             h_row = h_out[u]
             if h_row is None:
                 h_row = h_out[u] = _relabel_row(h_rows[0][h_ids[u]], rank)
-            child, bound = _split(bds, g_out[v], h_row)
-            if directed:
+            # the list's min sides sum to bound - mc, so bound - incumbent - 1
+            # is what they may lose with the bound still above the incumbent
+            child = _split(bds, g_out[v], h_row, bound - incumbent - 1)
+            if directed and child is not None:
                 h_row = h_in[u]
                 if h_row is None:
                     h_row = h_in[u] = _relabel_row(h_rows[1][h_ids[u]], rank)
                 # (out, in) buckets in the order 00, 01, 10, 11
-                child, bound = _split(child, g_in[v], h_row)
+                child = _split(child[0], g_in[v], h_row, child[1])
             bds[bi] = chosen
-            bds = child
-            bound += mc
+            if child is None:
+                bound_prunes += 1
+                continue
+            bds, slack, best_i = child
+            bound = incumbent + 1 + slack
         if bound <= incumbent:
             bound_prunes += 1
             continue
@@ -331,13 +369,13 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 continue
         path_len = len(mapping)
 
-        best_i = 0
-        best_k = 1 << 60
-        for i, (_, _, gl, hl) in enumerate(bds):
-            k = gl if gl >= hl else hl
-            if k < best_k:
-                best_k = k
-                best_i = i
+        if best_i < 0:
+            best_k = 1 << 60
+            for i, (_, _, gl, hl) in enumerate(bds):
+                k = gl if gl >= hl else hl
+                if k < best_k:
+                    best_k = k
+                    best_i = i
         gb, hb, gl, hl = bds[best_i]
         low = gb & -gb
         v = low.bit_length() - 1
@@ -356,13 +394,16 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         # list over
         bds[best_i] = (gb, hb, gl, hl)
         if gl:
+            # a smaller max keeps the chosen bidomain the first smallest
             rest = bds
+            rest_i = best_i
         else:
             rest = bds.copy()
             del rest[best_i]
+            rest_i = -1
         # leaving v out lowers the chosen min by one exactly when G's side,
         # now short of v, is the smaller
-        stack.append((rest, mc, path_len, (v, bot_rank), bound - (gl < hl), -1))
+        stack.append((rest, mc, path_len, (v, bot_rank), bound - (gl < hl), -1, rest_i))
 
         prev_class = -1
         cands = hb
@@ -382,7 +423,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 # an interchangeable candidate comes first in this bidomain
                 val_sym_prunes += 1
                 continue
-            stack.append((bds, mc + 1, path_len, (v, u), bound, best_i))
+            stack.append((bds, mc + 1, path_len, (v, u), bound, best_i, -1))
 
     if swapped:
         best = [(u, v) for v, u in best]

@@ -268,6 +268,32 @@ def test_refine_asymmetric_buckets_are_dropped_separately():
     assert [(bd.gs, bd.hs) for bd in children] == [([2], [2])]
 
 
+# two bidomains split by rows {0, 3} and {0, 1, 3}: the first loses one of
+# its min side 3, the second none, and its halves have the smallest max
+_SPLIT_IN = [(0b00111, 0b00111, 3, 3), (0b11000, 0b11000, 2, 2)]
+_SPLIT_ROWS = (0b01001, 0b01011)
+
+
+def test_split_returns_halves_slack_left_and_choice():
+    halves, slack, choice = _split(_SPLIT_IN, *_SPLIT_ROWS, 1)
+    assert halves == [
+        (0b00110, 0b00100, 2, 1),
+        (0b00001, 0b00011, 1, 2),
+        (0b10000, 0b10000, 1, 1),
+        (0b01000, 0b01000, 1, 1),
+    ]
+    assert slack == 0
+    # the first half with the smallest max side: ties keep the earlier one
+    assert choice == 2
+
+
+def test_split_stops_once_the_loss_exceeds_the_slack():
+    assert _split(_SPLIT_IN, *_SPLIT_ROWS, 0) is None
+    # the slack may be spent to the last unit, and an empty list loses nothing
+    assert _split(_SPLIT_IN, *_SPLIT_ROWS, 5)[1] == 4
+    assert _split([], 0, 0, 0) == ([], 0, 0)
+
+
 # -- solve: whole searches ----------------------------------------------------
 
 
