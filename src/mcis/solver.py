@@ -15,8 +15,11 @@ Two optional pruning rules exploit interchangeable vertices (see
 * variable rule: if an interchangeable sibling of v was already assigned a
   value u' earlier in the branch, candidates that precede u' in the fixed
   value order are skipped; the swapped branch was, or will be, explored via
-  the sibling. Unmatched counts as the largest value, so once a sibling was
-  left unmatched, v accepts no real value at all.
+  the sibling. Unmatched counts as the largest value, so once v is left
+  unmatched, its twins accept no real value at all. They leave with v: the
+  unmatched child takes them out of v's bidomain, where every unmatched
+  twin of v still lies, and its bound falls at once instead of as each
+  twin is chosen.
 * value rule: among interchangeable candidates living in the same bidomain,
   only the first in the fixed value order is tried.
 
@@ -292,7 +295,12 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     h_in = [None] * h.n if directed else None
     gclass = [classes_g.class_id[v] for v in g_ids]
     hclass = [classes_h.class_id[u] for u in h_ids]
-    g_peers = [c in classes_g.class_members for c in gclass]
+    # the other members of each vertex's class, as a mask of relabelled ids
+    g_twins = [0] * g.n
+    for members in classes_g.class_members.values():
+        mask = sum(1 << g_new[w] for w in members)
+        for w in members:
+            g_twins[g_new[w]] = mask ^ 1 << g_new[w]
     bot_rank = h.n
     use_var, use_val = _CONFIG_RULES[config.name]
     deadline = None if config.timeout is None else t0 + config.timeout
@@ -383,7 +391,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         gl -= 1
 
         var_bound = -1
-        if use_var and g_peers[v]:
+        if use_var and g_twins[v]:
             cls = gclass[v]
             for pv, pu in mapping:
                 if pu > var_bound and gclass[pv] == cls:
@@ -393,17 +401,32 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         # and the unmatched child, which pops after them all, takes the
         # list over
         bds[best_i] = (gb, hb, gl, hl)
-        if gl:
-            # a smaller max keeps the chosen bidomain the first smallest
-            rest = bds
-            rest_i = best_i
-        else:
+        # leaving v out lowers the chosen min by one exactly when G's side,
+        # now short of v, is the smaller
+        rest_bound = bound - (gl < hl)
+        twins = gb & g_twins[v] if use_var else 0
+        if twins:
+            # below v's unmatched child the var rule gives v's twins no
+            # value, so they leave with v
+            gb ^= twins
+            left = gl - twins.bit_count()
+            rest_bound -= (gl if gl < hl else hl) - (left if left < hl else hl)
+            gl = left
+        if not gl:
             rest = bds.copy()
             del rest[best_i]
             rest_i = -1
-        # leaving v out lowers the chosen min by one exactly when G's side,
-        # now short of v, is the smaller
-        stack.append((rest, mc, path_len, (v, bot_rank), bound - (gl < hl), -1, rest_i))
+        elif twins:
+            # on a copy: the candidates keep the twins
+            rest = bds.copy()
+            rest[best_i] = (gb, hb, gl, hl)
+            rest_i = best_i
+        else:
+            rest = bds
+            rest_i = best_i
+        # an inherited choice holds, since a smaller max keeps the chosen
+        # bidomain the first smallest
+        stack.append((rest, mc, path_len, (v, bot_rank), rest_bound, -1, rest_i))
 
         prev_class = -1
         cands = hb

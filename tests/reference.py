@@ -350,6 +350,11 @@ def reference_solve(g, h, config):
             search(children)
             mapping.pop()
         rest = _without(partition, i, v, None)
+        if use_var:
+            # once v is unmatched the var rule gives its class-mates no
+            # value, so they are left out with it
+            cid = classes_g.class_id[v]
+            rest[i].gs = [w for w in rest[i].gs if classes_g.class_id[w] != cid]
         if not rest[i].gs:
             rest.pop(i)
         mapping.append((v, None))

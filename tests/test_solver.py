@@ -603,6 +603,60 @@ def test_engine_matches_reference_property(pair):
     assert len(sizes) == 1
 
 
+# -- twin-rich pairs: twins leave with an unmatched vertex ---------------------
+
+
+# the oracle counts every maximum mapping, and a 10-vertex blow-up can have
+# millions of them; at 8 vertices it takes at most ~0.1 s
+_BLOW_UP_MAX_N = 8
+
+
+@st.composite
+def _blow_up_pairs(draw):
+    """Two graphs of one mode, each a random base of 3-6 vertices whose
+    vertices become classes of 1-4 twins, open or closed, looped or not,
+    with at most _BLOW_UP_MAX_N vertices in all."""
+    directed, loops = draw(st.sampled_from(MODES))
+
+    def side():
+        base = draw(st.integers(3, 6))
+        sizes = []
+        for c in range(base):
+            room = _BLOW_UP_MAX_N - sum(sizes) - (base - c - 1)
+            sizes.append(draw(st.integers(1, min(4, room))))
+        starts = list(itertools.accumulate(sizes, initial=0))
+        members = [range(starts[c], starts[c + 1]) for c in range(base)]
+        edges = []
+        for a in range(base):
+            for b in range(base):
+                linked = a != b and (directed or a < b) and draw(st.booleans())
+                if linked or (a == b and draw(st.booleans())):
+                    # across classes, or inside a closed class
+                    edges += [(x, y) for x in members[a] for y in members[b] if x != y and (directed or x < y)]
+            if loops and draw(st.booleans()):
+                edges += [(x, x) for x in members[a]]
+        return Graph(starts[-1], edges, directed=directed)
+
+    return side(), side()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blow_up_pairs())
+def test_twin_rich_pairs_keep_the_optimum(pair):
+    # every vertex has twins, so the var rule takes them out with each
+    # vertex left unmatched on nearly every path
+    g, h = pair
+    optimum = brute_force_mcis(g, h, witness_cap=0).size
+    for name in CONFIG_NAMES:
+        config = SolverConfig(name)
+        sol = solve(g, h, config)
+        ref_mapping, ref_stats = reference_solve(g, h, config)
+        assert {key: getattr(sol.stats, key) for key in ref_stats} == ref_stats, name
+        assert sol.mapping == ref_mapping, name
+        assert sol.stats.incumbent_size == optimum, name
+        assert is_isomorphism(g, h, sol.mapping), name
+
+
 # -- orientation: the smaller graph branches, a dense pair is complemented ----
 
 
