@@ -338,23 +338,27 @@ def _edgelist_error(
 def is_isomorphism(g: Graph, h: Graph, mapping: Sequence[tuple[int, int | None]]) -> bool:
     """True iff the non-bottom pairs of ``mapping`` induce isomorphic subgraphs.
 
-    Requires matched vertices to lie in ``0..n-1`` of their graph, to agree
-    on their self-loop flag and to be matched at most once per side, and
-    each matched G-vertex's out-row, masked to the matched set and
-    relabelled through the mapping, to equal its partner's masked out-row.
-    Every arc is some vertex's out-arc, so this covers both directions of a
-    directed graph. Raises ``ValueError`` when g and h differ in
-    directedness, as ``solve`` does. ``None`` values mark vertices
-    deliberately left unmatched and are ignored.
+    Requires every vertex a pair names, matched or not, to lie in
+    ``0..n-1`` of its graph, matched vertices to agree on their self-loop
+    flag and to be matched at most once per side, and each matched
+    G-vertex's out-row, masked to the matched set and relabelled through
+    the mapping, to equal its partner's masked out-row. Every arc is some
+    vertex's out-arc, so this covers both directions of a directed graph.
+    Raises ``ValueError`` when g and h differ in directedness, as ``solve``
+    does. ``None`` values mark vertices deliberately left unmatched; past
+    the range check they are ignored.
     """
     if g.directed != h.directed:
         raise ValueError("graphs must agree on directedness")
+    named = [v for v, _ in mapping]
+    if named and not 0 <= min(named) <= max(named) < g.n:
+        return False
     pairs = [(v, u) for v, u in mapping if u is not None]
     to_h = dict(pairs)
     if len(to_h) < len(pairs) or len(set(to_h.values())) < len(pairs):
         return False
     vs, us = to_h.keys(), to_h.values()
-    if pairs and not (0 <= min(vs) <= max(vs) < g.n and 0 <= min(us) <= max(us) < h.n):
+    if pairs and not 0 <= min(us) <= max(us) < h.n:
         return False
     g_set = sum(1 << v for v in vs)
     h_set = sum(1 << u for u in us)

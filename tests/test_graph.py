@@ -384,12 +384,14 @@ def test_is_isomorphism_rejects_repeated_vertices():
     assert not is_isomorphism(Graph(1), Graph(2), [(0, 0), (0, 1)])
 
 
-@pytest.mark.parametrize("pair", [(5, 0), (-1, 0), (0, 2), (0, -1), (2, 2)])
+@pytest.mark.parametrize("pair", [(5, 0), (-1, 0), (0, 2), (0, -1), (2, 2), (5, None), (-1, None)])
 def test_is_isomorphism_rejects_out_of_range_vertices(pair):
-    # an id past either graph, negative ones included, is no vertex to match
+    # an id past either graph, negative ones included, is no vertex to
+    # match or to leave unmatched
     k2 = Graph(2, [(0, 1)])
     assert not is_isomorphism(k2, k2, [pair])
     assert not is_isomorphism(k2, k2, [(1, 1), pair])
+    assert not is_isomorphism(k2, k2, [pair, (0, 0)])
 
 
 @given(graphs(loops=True), st.randoms(use_true_random=False))
