@@ -308,9 +308,9 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     # a looped vertex can only match a looped one
     g_loops = sum(1 << i for i, v in enumerate(g_ids) if g.loops[v]) if any(g.loops) else 0
     h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u]) if any(h.loops) else 0
-    # with all of its min side as slack, the root's slack left is its bound
-    top = min(g.n, h.n)
-    root, root_bound, root_i = _split([((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)], g_loops, h_loops, top)
+    # with its whole min side as slack, the root's slack left is its bound
+    everything = [((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)]
+    root, root_bound, root_i = _split(everything, g_loops, h_loops, min(g.n, h.n))
 
     # (v, rank) pairs, where rank bot_rank leaves v unmatched
     mapping: list[tuple[int, int]] = []
