@@ -643,7 +643,7 @@ def _blow_up_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_blow_up_pairs())
 def test_twin_rich_pairs_keep_the_optimum(pair):
-    # every vertex has twins, so the var rule takes them out with each
+    # most vertices have twins, so the var rule takes twins out with a
     # vertex left unmatched on nearly every path
     g, h = pair
     optimum = brute_force_mcis(g, h, witness_cap=0).size
