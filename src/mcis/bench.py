@@ -6,8 +6,7 @@ configuration and flattens everything a results table needs into an
 times a set of configurations, in parallel across processes, then writes
 per-run JSON lines plus aggregate CSVs: cumulative solved-over-time curves,
 per-configuration comparisons (speedups and branch ratios where both
-solved, incumbent-size deltas where neither did) and the share of
-instances where symmetry rules out-pruned the bound.
+solved, incumbent-size deltas where neither did).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class InstanceReport(SearchStats):
     instance: str
     config: str
     wall_time: float = 0.0
-    sym_to_bound_ratio: float = 0.0
     verified: bool = False
     mapping: list = field(default_factory=list)
     error: str | None = None
@@ -90,7 +88,6 @@ def run_instance(
         instance=str(instance_id),
         config=config.name,
         wall_time=wall,
-        sym_to_bound_ratio=100.0 * (st.var_sym_prunes + st.val_sym_prunes) / max(st.bound_prunes, 1),
         verified=is_isomorphism(g, h, sol.mapping),
         mapping=[[g.display_name(v), h.display_name(u)] for v, u in sol.mapping],
     )
@@ -162,16 +159,10 @@ def aggregate_reports(reports: list[dict], configs: list[str], timeout: float) -
         runs = list(by_config[c].values())
         solved = [r for r in runs if r["completed"] and not r["error"]]
         curves[c] = [sum(1 for r in solved if r["wall_time"] <= b) for b in bounds]
-        high_sym = [
-            r
-            for r in runs
-            if not r["error"] and (r["var_sym_prunes"] + r["val_sym_prunes"]) > r["bound_prunes"]
-        ]
         per_config[c] = {
             "runs": len(runs),
             "errors": sum(1 for r in runs if r["error"]),
             "solved": len(solved),
-            "high_sym_pruning_pct": 100.0 * len(high_sym) / len(runs) if runs else 0.0,
         }
 
     comparisons = []

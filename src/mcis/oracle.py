@@ -4,9 +4,15 @@ The search here shares nothing with the production solver: no partitions,
 no bound, no symmetry reasoning. It enumerates subsets of the first graph's
 vertices in decreasing size and, per subset, every injection into the second
 graph, keeping only those that induce isomorphic subgraphs. Injections are
-generated by a plain backtracking walk that abandons a partial assignment as
-soon as one adjacency or loop flag disagrees; that changes nothing about
-which mappings are found, only how fast the hopeless ones are discarded.
+generated by a plain backtracking walk that offers each vertex only the
+unused vertices whose loop flag and adjacency to the assignment so far
+agree with its own; that changes nothing about which mappings are found,
+only how fast the hopeless ones are discarded.
+
+``brute_force_size`` finds the optimum alone. It tries the sizes upward
+and stops each at its first mapping, so it walks in full only the size
+past the optimum: a pair with millions of maximum mappings costs it one
+mapping of each size.
 
 Intentionally restricted to tiny graphs (n <= 10 each side).
 """
@@ -37,10 +43,7 @@ def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP)
     Witnesses are tuples of (g_vertex, h_vertex) pairs sorted by g_vertex.
     ``witness_count`` counts every maximum mapping, also those past the cap.
     """
-    if g.n > MAX_ORACLE_N or h.n > MAX_ORACLE_N:
-        raise ValueError(f"oracle accepts at most {MAX_ORACLE_N} vertices per graph")
-    if g.directed != h.directed:
-        raise ValueError("graphs must agree on directedness")
+    _check_pair(g, h)
     if witness_cap < 0:
         raise ValueError("witness_cap must be non-negative")
 
@@ -62,35 +65,57 @@ def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP)
     return OracleResult(0, [()] if witness_cap else [], witness_cap == 0, 1)
 
 
+def brute_force_size(g: Graph, h: Graph) -> int:
+    """Exact optimum alone, without counting the maximum mappings."""
+    _check_pair(g, h)
+    # a mapping of size k restricts to one of every smaller size, so the
+    # optimum is the size below the first that has none
+    for k in range(1, min(g.n, h.n) + 1):
+        if not any(_has_image(g, h, subset) for subset in combinations(range(g.n), k)):
+            return k - 1
+    return min(g.n, h.n)
+
+
+def _has_image(g: Graph, h: Graph, subset: tuple[int, ...]) -> bool:
+    for image in _consistent_images(g, h, subset):
+        assert is_isomorphism(g, h, tuple(zip(subset, image)))
+        return True
+    return False
+
+
+def _check_pair(g: Graph, h: Graph) -> None:
+    if g.n > MAX_ORACLE_N or h.n > MAX_ORACLE_N:
+        raise ValueError(f"oracle accepts at most {MAX_ORACLE_N} vertices per graph")
+    if g.directed != h.directed:
+        raise ValueError("graphs must agree on directedness")
+
+
 def _consistent_images(g: Graph, h: Graph, subset: tuple[int, ...]):
-    """Yield every injective image of ``subset`` preserving edges and loops."""
+    """Yield every injective image of ``subset`` preserving edges and loops,
+    in increasing order of the images' vertex ids."""
     k = len(subset)
     image: list[int] = []
-    used = [False] * h.n
+    looped = sum(1 << u for u in range(h.n) if h.loops[u])
+    unlooped = (1 << h.n) - 1 ^ looped
 
-    def extend(i: int):
+    def extend(i: int, free: int):
         if i == k:
             yield tuple(image)
             return
         v = subset[i]
-        for u in range(h.n):
-            if used[u] or g.loops[v] != h.loops[u]:
-                continue
-            ok = True
-            for j in range(i):
-                w, y = subset[j], image[j]
-                if g.has_edge(w, v) != h.has_edge(y, u):
-                    ok = False
-                    break
-                if g.directed and g.has_edge(v, w) != h.has_edge(u, y):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[u] = True
-            image.append(u)
-            yield from extend(i + 1)
+        # the unused vertices whose loop flag and arcs to the images so far
+        # agree with v's
+        cands = free & (looped if g.loops[v] else unlooped)
+        for j in range(i):
+            w, y = subset[j], image[j]
+            cands &= h.out_bits[y] if g.has_edge(w, v) else ~h.out_bits[y]
+            if g.directed:
+                cands &= h.in_bits[y] if g.has_edge(v, w) else ~h.in_bits[y]
+        while cands:
+            low = cands & -cands
+            image.append(low.bit_length() - 1)
+            yield from extend(i + 1, free ^ low)
             image.pop()
-            used[u] = False
+            cands ^= low
 
-    yield from extend(0)
+    yield from extend(0, (1 << h.n) - 1)

@@ -7,7 +7,22 @@ any vertex on the left side may still be matched to any vertex on the right
 side. Matching v to u splits every bidomain by adjacency to v and u;
 deciding to leave v unmatched removes v and searches the rest. The
 incumbent is the best mapping seen so far and a branch is abandoned
-whenever matched-count plus the sum of min(side sizes) cannot beat it.
+whenever matched-count plus the sum of min(side sizes) cannot beat it
+(McSplit's bound: McCreesh, Prosser and Trimble, IJCAI 2017).
+
+That sum ignores the edges inside a bidomain. Pairs never leave their
+bidomain, and the pairs one bidomain gives induce isomorphic subgraphs of
+its two sides, so it gives at most the MCIS of those subgraphs. For
+undirected graphs on at most 4 vertices, the sorted degree sequence fixes
+the isomorphism class, 17 classes in all. So a bidomain of an undirected
+pair with 2-4 vertices on each side is capped by one lookup in a fixed
+17x17 table of their MCIS sizes, and its loss, min(side sizes) less that
+cap, comes off the node's lead over the incumbent. The losses are taken
+at each node the plain bound keeps and are not passed on: a child's
+bidomains are split anew, and the splits below rely on the plain sum,
+which alone never grows from parent to child. A side's table key is kept
+by its bits, since most small sides recur at many nodes; a search keeps
+at most ``_KEYS_KEPT`` keys per graph and starts over when full.
 
 Two optional pruning rules exploit interchangeable vertices (see
 :mod:`mcis.symmetry`):
@@ -70,13 +85,14 @@ stops as soon as the halves have lost more of the list's min sides than
 the bound's lead over the incumbent allows, and the candidate is pruned;
 else it also gives the candidate its choice, the first half with the
 smallest max side. Then any node whose bound does not beat the incumbent
-is pruned, and counted as such. No other node reads the list meanwhile: it
-is the root, a split's result or a parent's list that all of the parent's
-candidates are done with, and the unmatched child, which takes it over,
-pops after every sibling. The unmatched child keeps its parent's choice,
-since taking G vertices out only lowers that bidomain's max. Only when v
-was the chosen bidomain's last G vertex does it get a copy without that
-bidomain, and scan the copy for its choice.
+is pruned, and counted as such, and so is a node whose small bidomains'
+losses use up its lead once the incumbent is updated. No other node reads
+the list meanwhile: it is the root, a split's result or a parent's list
+that all of the parent's candidates are done with, and the unmatched
+child, which takes it over, pops after every sibling. The unmatched child
+keeps its parent's choice, since taking G vertices out only lowers that
+bidomain's max. Only when v was the chosen bidomain's last G vertex does
+it get a copy without that bidomain, and scan the copy for its choice.
 
 The counters live in locals of the loop and reach its ``SearchStats``
 once, when the loop ends, which a timeout does by ``break``. The choice of
@@ -107,6 +123,58 @@ CONFIG_NAMES = tuple(_CONFIG_RULES)
 
 # search nodes between two reads of the clock when a timeout is set
 _CHECK_INTERVAL = 1024
+
+# The undirected graphs on 2-4 vertices, one per isomorphism class, by
+# sorted degree sequence: at these sizes the sequence fixes the class.
+_SMALL_CLASSES = (
+    (0, 0), (1, 1),
+    (0, 0, 0), (0, 1, 1), (1, 1, 2), (2, 2, 2),
+    (0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (1, 1, 1, 1), (0, 2, 2, 2),
+    (1, 1, 1, 3), (1, 1, 2, 2), (1, 2, 2, 3), (2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3),
+)
+# the largest common induced subgraph of each pair of those classes
+_SMALL_MCIS = (
+    (2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1),
+    (1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
+    (2, 1, 3, 2, 2, 1, 3, 3, 3, 2, 2, 3, 2, 2, 2, 2, 1),
+    (2, 2, 2, 3, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 2, 2, 2),
+    (2, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 2),
+    (1, 2, 1, 2, 2, 3, 1, 2, 2, 2, 3, 2, 2, 3, 2, 3, 3),
+    (2, 1, 3, 2, 2, 1, 4, 3, 3, 2, 2, 3, 2, 2, 2, 2, 1),
+    (2, 2, 3, 3, 2, 2, 3, 4, 3, 3, 3, 3, 3, 3, 2, 2, 2),
+    (2, 2, 3, 3, 3, 2, 3, 3, 4, 3, 3, 3, 3, 3, 3, 3, 2),
+    (2, 2, 2, 3, 2, 2, 2, 3, 3, 4, 3, 2, 3, 3, 2, 2, 2),
+    (2, 2, 2, 3, 2, 3, 2, 3, 3, 3, 4, 2, 3, 3, 2, 3, 3),
+    (2, 2, 3, 2, 3, 2, 3, 3, 3, 2, 2, 4, 3, 3, 3, 3, 2),
+    (2, 2, 2, 3, 3, 2, 2, 3, 3, 3, 3, 3, 4, 3, 3, 3, 2),
+    (2, 2, 2, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 4, 3, 3, 3),
+    (2, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 4, 3, 2),
+    (2, 2, 2, 2, 3, 3, 2, 2, 3, 2, 3, 3, 3, 3, 3, 4, 3),
+    (1, 2, 1, 2, 2, 3, 1, 2, 2, 2, 3, 2, 2, 3, 2, 3, 4),
+)
+# a side's key is the sum of 8 ** degree over its vertices; no degree
+# occurs more than 4 times, so the key spells out the degree sequence
+_EIGHT_POW = (1, 8, 64, 512)
+_SMALL_KEYS = [sum(_EIGHT_POW[d] for d in degrees) for degrees in _SMALL_CLASSES]
+# a small bidomain's loss, min(side sizes) - MCIS, by (G key << 12) | H key
+_SMALL_LOSS = {
+    g_key << 12 | h_key: min(len(g_degrees), len(h_degrees)) - cap
+    for g_degrees, g_key, row in zip(_SMALL_CLASSES, _SMALL_KEYS, _SMALL_MCIS)
+    for h_degrees, h_key, cap in zip(_SMALL_CLASSES, _SMALL_KEYS, row)
+}
+# side keys a search keeps per graph before it starts over
+_KEYS_KEPT = 4096
+
+
+def _side_key(bits: int, rows: list[int]) -> int:
+    """The key of the subgraph induced by the 2-4 vertices in ``bits``."""
+    key = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        key += _EIGHT_POW[(rows[low.bit_length() - 1] & bits).bit_count()]
+        rest ^= low
+    return key
 
 
 @dataclass
@@ -302,6 +370,10 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         for w in members:
             g_twins[g_new[w]] = mask ^ 1 << g_new[w]
     bot_rank = h.n
+    undirected = not directed
+    # each small side's key, by its bits; most sides recur at many nodes
+    g_keys: dict[int, int] = {}
+    h_keys: dict[int, int] = {}
     use_var, use_val = _CONFIG_RULES[config.name]
     deadline = None if config.timeout is None else t0 + config.timeout
 
@@ -371,10 +443,29 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             best = [(g_ids[v], h_ids[u]) for v, u in mapping if u < bot_rank]
             time_to_best = perf_counter() - t0
             branches_to_best = branches
-            if bound == mc:
-                # nothing is left to match
-                bound_prunes += 1
-                continue
+        # each small bidomain's loss comes off the lead; a node with nothing
+        # left to match has no lead once it is the incumbent
+        lead = bound - incumbent
+        if undirected:
+            for gb, hb, gl, hl in bds:
+                if 1 < gl < 5 and 1 < hl < 5:
+                    g_key = g_keys.get(gb)
+                    if g_key is None:
+                        if len(g_keys) == _KEYS_KEPT:
+                            g_keys.clear()
+                        g_key = g_keys[gb] = _side_key(gb, g_out) << 12
+                    h_key = h_keys.get(hb)
+                    if h_key is None:
+                        if len(h_keys) == _KEYS_KEPT:
+                            h_keys.clear()
+                        # on H's own rows, since most are not relabelled
+                        h_key = h_keys[hb] = _side_key(_relabel_row(hb, h_ids), h_rows[0])
+                    lead -= _SMALL_LOSS[g_key | h_key]
+                    if lead <= 0:
+                        break
+        if lead <= 0:
+            bound_prunes += 1
+            continue
         path_len = len(mapping)
 
         if best_i < 0:

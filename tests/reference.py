@@ -6,10 +6,11 @@ bidomain search (McCreesh, Prosser and Trimble, IJCAI 2017).
 ``reference_solve`` runs them as one search, on the pair
 ``reference_orient`` picks (the smaller graph first, and the complements
 of a dense pair); differential tests hold it and the bitset engine to
-identical counters. ``enumerate_tree`` walks the complete unpruned search
-tree of tiny instances, as given, reporting each node's bound and each
-terminal branch together with whether either pruning rule would have
-fired on it.
+identical counters. ``small_bidomain_bound`` is the bound that search
+prunes by, with each small bidomain's MCIS found by brute force.
+``enumerate_tree`` walks the complete unpruned search tree of tiny
+instances, as given, reporting each node's bound and each terminal branch
+together with whether either pruning rule would have fired on it.
 
 Tuple keys: ``negative_neighborhood`` / ``positive_neighborhood`` are the
 readable definition of interchangeability, as sorted neighbor ids. A
@@ -49,6 +50,7 @@ from mcis import (
     SymmetryClasses,
     compute_symmetry_classes,
 )
+from mcis.oracle import brute_force_size
 from mcis.symmetry import NEGATIVE, POSITIVE
 
 
@@ -80,6 +82,36 @@ def upper_bound(mapping: list[tuple[int, int | None]], partition: list[Bidomain]
     """Matched pairs so far plus min(side sizes) over the bidomains."""
     matched = sum(1 for _, u in mapping if u is not None)
     return matched + sum(min(len(bd.gs), len(bd.hs)) for bd in partition)
+
+
+def small_bidomain_bound(
+    mapping: list[tuple[int, int | None]],
+    partition: list[Bidomain],
+    g: Graph,
+    h: Graph,
+    caps: dict | None = None,
+) -> int:
+    """``upper_bound`` with each small bidomain capped by its own optimum.
+
+    Pairs never leave their bidomain, and those one bidomain gives induce
+    isomorphic subgraphs of its two sides, so it gives at most the MCIS of
+    the subgraphs its sides induce. For undirected graphs, a bidomain with
+    2-4 vertices a side counts that MCIS, found by brute force, in place
+    of min(side sizes). ``caps`` keeps the MCIS of sides already seen, by
+    their vertex tuples, for calls on the same g and h.
+    """
+    bound = upper_bound(mapping, partition)
+    if g.directed:
+        return bound
+    if caps is None:
+        caps = {}
+    for bd in partition:
+        if 2 <= len(bd.gs) <= 4 and 2 <= len(bd.hs) <= 4:
+            sides = (tuple(bd.gs), tuple(bd.hs))
+            if sides not in caps:
+                caps[sides] = brute_force_size(induced_subgraph(g, bd.gs), induced_subgraph(h, bd.hs))
+            bound -= min(len(bd.gs), len(bd.hs)) - caps[sides]
+    return bound
 
 
 def select_bidomain(partition: list[Bidomain]) -> int:
@@ -323,6 +355,7 @@ def reference_solve(g, h, config):
     # spelled out here rather than read from the package's table
     use_var = config.name in ("var", "dual")
     use_val = config.name in ("val", "dual")
+    caps: dict = {}
 
     def search(partition):
         nonlocal best_mapping
@@ -332,7 +365,7 @@ def reference_solve(g, h, config):
             stats["incumbent_size"] = matched
             stats["branches_to_best"] = stats["branches"]
             best_mapping = [(v, u) for v, u in mapping if u is not None]
-        if upper_bound(mapping, partition) <= stats["incumbent_size"]:
+        if small_bidomain_bound(mapping, partition, g, h, caps) <= stats["incumbent_size"]:
             stats["bound_prunes"] += 1
             return
         i = select_bidomain(partition)
@@ -367,12 +400,13 @@ def reference_solve(g, h, config):
     return best_mapping, stats
 
 
-def enumerate_tree(g, h, on_node=None, collect_branches=None):
+def enumerate_tree(g, h, on_node=None, collect_branches=None, bound=upper_bound):
     """Walk the complete (unpruned) search tree.
 
     ``on_node(mapping, ub, parent_ub, subtree_best)`` is called once per node
-    after its subtree finished, where ``subtree_best`` is the largest full
-    mapping reachable from the node. When ``collect_branches`` is a list,
+    after its subtree finished, where ``ub`` is ``bound(mapping, partition)``
+    at the node and ``subtree_best`` is the largest full mapping reachable
+    from the node. When ``collect_branches`` is a list,
     every terminal branch appends a record ``(pairs, var_fired, val_fired)``
     where the booleans say whether the corresponding rule would have skipped
     any step of the branch. Returns the largest full-mapping size overall.
@@ -383,7 +417,7 @@ def enumerate_tree(g, h, on_node=None, collect_branches=None):
     mapping: list[tuple[int, int | None]] = []
 
     def walk(partition, parent_ub, var_fired, val_fired):
-        ub = upper_bound(mapping, partition)
+        ub = bound(mapping, partition)
         snapshot = list(mapping)
         best = sum(1 for _, u in mapping if u is not None)
         if not partition:

@@ -51,8 +51,6 @@ def test_run_instance_triangles(k3_pair):
     assert rep.verified
     assert rep.branches >= rep.branches_to_best
     assert sorted(rep.mapping) == [["0", "0"], ["1", "1"], ["2", "2"]]
-    expected = 100.0 * (rep.var_sym_prunes + rep.val_sym_prunes) / max(rep.bound_prunes, 1)
-    assert rep.sym_to_bound_ratio == expected
     # the report carries every counter of the solve, under the same name
     g, h = (load_graph(p) for p in k3_pair)
     stats = vars(solve(g, h, SolverConfig("dual")).stats)
@@ -183,7 +181,6 @@ def report(
         "val_sym_prunes": val,
         "time_to_best": 0.0,
         "branches_to_best": 1,
-        "sym_to_bound_ratio": 0.0,
         "mapping": [],
         "error": err,
     }
@@ -247,15 +244,6 @@ def test_aggregate_errors_are_excluded_from_pairwise():
     assert summary["per_config"]["dual"]["errors"] == 1
     assert summary["per_config"]["dual"]["solved"] == 1
     assert summary["comparisons"][0]["co_solved"] == 1
-
-
-def test_aggregate_high_sym_share():
-    reports = [
-        report("a", "dual", var=5, val=0, bound=2),
-        report("b", "dual", var=0, val=0, bound=2),
-    ]
-    summary = aggregate_reports(reports, ["dual"], timeout=10.0)
-    assert summary["per_config"]["dual"]["high_sym_pruning_pct"] == pytest.approx(50.0)
 
 
 def test_aggregate_curves_are_monotone():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcis import Graph, brute_force_mcis, is_isomorphism
+from mcis.oracle import brute_force_size
 from reference import edge_list, induced_subgraph
 
 
@@ -65,6 +66,8 @@ def test_loop_must_match_loop():
     assert brute_force_mcis(looped, plain, witness_cap=0).witnesses == []
     assert res.witnesses == [()]
     assert brute_force_mcis(looped, looped).size == 1
+    assert brute_force_size(looped, plain) == 0
+    assert brute_force_size(looped, looped) == 1
 
 
 def test_directed_one_way_edge_versus_two_cycle():
@@ -74,13 +77,21 @@ def test_directed_one_way_edge_versus_two_cycle():
 
 
 def test_size_guard():
-    with pytest.raises(ValueError, match="at most"):
-        brute_force_mcis(Graph(11), Graph(2))
+    for oracle in (brute_force_mcis, brute_force_size):
+        with pytest.raises(ValueError, match="at most"):
+            oracle(Graph(11), Graph(2))
 
 
 def test_directedness_mismatch():
-    with pytest.raises(ValueError, match="directedness"):
-        brute_force_mcis(Graph(2, directed=True), Graph(2))
+    for oracle in (brute_force_mcis, brute_force_size):
+        with pytest.raises(ValueError, match="directedness"):
+            oracle(Graph(2, directed=True), Graph(2))
+
+
+def test_size_path_stops_at_the_first_mapping():
+    # K10 has 10! maximum mappings onto itself; counting them would take
+    # minutes
+    assert brute_force_size(k(10), k(10)) == 10
 
 
 @st.composite
@@ -109,6 +120,13 @@ def test_size_is_invariant_under_relabelling(pair, rng):
         directed=g.directed,
     )
     assert brute_force_mcis(relabelled, h).size == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_pairs())
+def test_size_path_agrees_with_the_full_walk(pair):
+    g, h = pair
+    assert brute_force_size(g, h) == brute_force_mcis(g, h, witness_cap=0).size
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,17 +12,18 @@ from mcis import (
     CONFIG_NAMES,
     Graph,
     SolverConfig,
-    brute_force_mcis,
     compute_symmetry_classes,
     is_isomorphism,
     solve,
 )
-from mcis.solver import _degrees, _split, _value_order
+from mcis.oracle import brute_force_size
+from mcis.solver import _SMALL_CLASSES, _SMALL_LOSS, _degrees, _side_key, _split, _value_order
 from reference import (
     Bidomain,
     arc_count,
     complement,
     degree,
+    enumerate_tree,
     induced_subgraph,
     initial_partition,
     order_values,
@@ -32,6 +33,7 @@ from reference import (
     refine_partition,
     select_bidomain,
     select_vertex,
+    small_bidomain_bound,
     upper_bound,
     val_sym_prunable,
     var_sym_prunable,
@@ -87,6 +89,48 @@ def test_upper_bound_empty():
 
 def test_upper_bound_ignores_unmatched_pairs():
     assert upper_bound([(0, None), (1, 2)], []) == 1
+
+
+def _labelled_small_graphs():
+    """Every undirected graph without loops on vertices 0..n-1, n = 2..4."""
+    for n in (2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_small_loss_table_matches_brute_force():
+    graphs = list(_labelled_small_graphs())
+    assert len(graphs) == 2 + 8 + 64
+    keys = [_side_key((1 << g.n) - 1, g.out_bits) for g in graphs]
+    assert len(set(keys)) == len(_SMALL_CLASSES) == 17
+    for g, g_key in zip(graphs, keys):
+        for h, h_key in zip(graphs, keys):
+            loss = min(g.n, h.n) - brute_force_size(g, h)
+            assert _SMALL_LOSS[g_key << 12 | h_key] == loss, (g, h)
+
+
+def test_small_bidomain_bound_is_sound(corpus):
+    # over complete unpruned trees of the small undirected pairs: the bound
+    # never falls below the best full mapping under a node, nor rises above
+    # the sum of min sides, and it is the lower of the two at some nodes
+    small = [p for p in corpus if not p.directed and p.g.n <= 6 and p.h.n <= 6]
+    tighter = 0
+    for pair in small:
+        caps = {}
+
+        def bound(mapping, partition, pair=pair, caps=caps):
+            nonlocal tighter
+            ub = small_bidomain_bound(mapping, partition, pair.g, pair.h, caps)
+            assert ub <= upper_bound(mapping, partition), pair.index
+            tighter += ub < upper_bound(mapping, partition)
+            return ub
+
+        def on_node(mapping, ub, parent_ub, subtree_best, pair=pair):
+            assert ub >= subtree_best, (pair.index, mapping)
+
+        enumerate_tree(pair.g, pair.h, on_node=on_node, bound=bound)
+    assert len(small) > 100 and tighter > 0
 
 
 # -- selection heuristics ----------------------------------------------------
@@ -364,14 +408,24 @@ def test_solve_rejects_empty_and_mismatched():
         solve(Graph(1, directed=True), Graph(1))
 
 
+# a triangle and a K4 sharing vertex 3, plus an isolated vertex, against
+# the star K1,4: G has twin classes {1, 2} and {4, 5, 6}, H the four leaves
+TWIN_G_EDGES = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+TWIN_H_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4)]
+
+
 def test_stats_gated_by_config():
-    g, h = graph_g(), graph_h()
-    st_none = solve(g, h, SolverConfig("none")).stats
-    assert st_none.var_sym_prunes == 0 and st_none.val_sym_prunes == 0
-    st_var = solve(g, h, SolverConfig("var")).stats
-    assert st_var.var_sym_prunes > 0 and st_var.val_sym_prunes == 0
-    st_val = solve(g, h, SolverConfig("val")).stats
-    assert st_val.var_sym_prunes == 0 and st_val.val_sym_prunes > 0
+    # each config counts only its own rules on both pairs; the rules fire
+    # on the twin pair, since on the known one the small-bidomain bound
+    # leaves the var rule nothing to skip
+    for g, h in ((graph_g(), graph_h()), (Graph(7, TWIN_G_EDGES), Graph(5, TWIN_H_EDGES))):
+        st_none = solve(g, h, SolverConfig("none")).stats
+        assert st_none.var_sym_prunes == 0 and st_none.val_sym_prunes == 0
+        st_var = solve(g, h, SolverConfig("var")).stats
+        assert st_var.val_sym_prunes == 0
+        st_val = solve(g, h, SolverConfig("val")).stats
+        assert st_val.var_sym_prunes == 0
+    assert st_var.var_sym_prunes > 0 and st_val.val_sym_prunes > 0
     st_dual = solve(g, h, SolverConfig("dual")).stats
     assert st_dual.var_sym_prunes > 0 and st_dual.val_sym_prunes > 0
 
@@ -606,9 +660,9 @@ def test_engine_matches_reference_property(pair):
 # -- twin-rich pairs: twins leave with an unmatched vertex ---------------------
 
 
-# the oracle counts every maximum mapping, and a 10-vertex blow-up can have
-# millions of them; at 8 vertices it takes at most ~0.1 s
-_BLOW_UP_MAX_N = 8
+# the oracle's limit: its size-only path stops at the first mapping of each
+# size, so the millions of maximum mappings a blow-up can have cost it one
+_BLOW_UP_MAX_N = 10
 
 
 @st.composite
@@ -646,7 +700,7 @@ def test_twin_rich_pairs_keep_the_optimum(pair):
     # most vertices have twins, so the var rule takes twins out with a
     # vertex left unmatched on nearly every path
     g, h = pair
-    optimum = brute_force_mcis(g, h, witness_cap=0).size
+    optimum = brute_force_size(g, h)
     for name in CONFIG_NAMES:
         config = SolverConfig(name)
         sol = solve(g, h, config)
@@ -699,7 +753,7 @@ def test_loops_still_match_loops_on_a_swapped_complemented_pair():
     h = Graph(3, [(a, b) for a in range(3) for b in range(3) if a != b] + [(0, 0)], directed=True)
     og, oh, swapped = reference_orient(g, h)
     assert swapped and og == complement(h) and oh == complement(g)
-    assert brute_force_mcis(g, h).size == 3
+    assert brute_force_size(g, h) == 3
     for name in CONFIG_NAMES:
         sol = solve(g, h, SolverConfig(name))
         assert len(sol.mapping) == 3 and (3, 0) in sol.mapping, name
@@ -727,7 +781,7 @@ def test_complemented_pair_builds_no_graph(monkeypatch, directed):
     monkeypatch.setattr(Graph, "__init__", counting_init)
     sol = solve(g, h)
     assert calls == 0
-    assert sol.stats.incumbent_size == brute_force_mcis(g, h).size
+    assert sol.stats.incumbent_size == brute_force_size(g, h)
     assert is_isomorphism(g, h, sol.mapping)
 
 
@@ -737,6 +791,6 @@ def test_solve_matches_oracle_on_small_pairs():
         n_g, n_h = rng.randint(1, 6), rng.randint(1, 6)
         g = Graph(n_g, [(i, j) for i in range(n_g) for j in range(i + 1, n_g) if rng.random() < 0.5])
         h = Graph(n_h, [(i, j) for i in range(n_h) for j in range(i + 1, n_h) if rng.random() < 0.5])
-        expected = brute_force_mcis(g, h).size
+        expected = brute_force_size(g, h)
         for name in CONFIG_NAMES:
             assert len(solve(g, h, SolverConfig(name)).mapping) == expected
