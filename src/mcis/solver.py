@@ -124,41 +124,42 @@ CONFIG_NAMES = tuple(_CONFIG_RULES)
 # search nodes between two reads of the clock when a timeout is set
 _CHECK_INTERVAL = 1024
 
-# The undirected graphs on 2-4 vertices, one per isomorphism class, by
-# sorted degree sequence: at these sizes the sequence fixes the class.
+# The undirected graphs on 2-4 vertices, one per isomorphism class, as
+# sorted degree sequences, one digit per vertex: at these sizes the
+# sequence fixes the class.
 _SMALL_CLASSES = (
-    (0, 0), (1, 1),
-    (0, 0, 0), (0, 1, 1), (1, 1, 2), (2, 2, 2),
-    (0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (1, 1, 1, 1), (0, 2, 2, 2),
-    (1, 1, 1, 3), (1, 1, 2, 2), (1, 2, 2, 3), (2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3),
+    "00", "11",
+    "000", "011", "112", "222",
+    "0000", "0011", "0112", "1111", "0222", "1113", "1122", "1223", "2222", "2233", "3333",
 )
-# the largest common induced subgraph of each pair of those classes
+# the largest common induced subgraph of each pair of those classes, one
+# digit per entry
 _SMALL_MCIS = (
-    (2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1),
-    (1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
-    (2, 1, 3, 2, 2, 1, 3, 3, 3, 2, 2, 3, 2, 2, 2, 2, 1),
-    (2, 2, 2, 3, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 2, 2, 2),
-    (2, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 2),
-    (1, 2, 1, 2, 2, 3, 1, 2, 2, 2, 3, 2, 2, 3, 2, 3, 3),
-    (2, 1, 3, 2, 2, 1, 4, 3, 3, 2, 2, 3, 2, 2, 2, 2, 1),
-    (2, 2, 3, 3, 2, 2, 3, 4, 3, 3, 3, 3, 3, 3, 2, 2, 2),
-    (2, 2, 3, 3, 3, 2, 3, 3, 4, 3, 3, 3, 3, 3, 3, 3, 2),
-    (2, 2, 2, 3, 2, 2, 2, 3, 3, 4, 3, 2, 3, 3, 2, 2, 2),
-    (2, 2, 2, 3, 2, 3, 2, 3, 3, 3, 4, 2, 3, 3, 2, 3, 3),
-    (2, 2, 3, 2, 3, 2, 3, 3, 3, 2, 2, 4, 3, 3, 3, 3, 2),
-    (2, 2, 2, 3, 3, 2, 2, 3, 3, 3, 3, 3, 4, 3, 3, 3, 2),
-    (2, 2, 2, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 4, 3, 3, 3),
-    (2, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 4, 3, 2),
-    (2, 2, 2, 2, 3, 3, 2, 2, 3, 2, 3, 3, 3, 3, 3, 4, 3),
-    (1, 2, 1, 2, 2, 3, 1, 2, 2, 2, 3, 2, 2, 3, 2, 3, 4),
+    "21222122222222221",
+    "12122212222222222",
+    "21322133322322221",
+    "22232223333233222",
+    "22223222322333332",
+    "12122312223223233",
+    "21322143322322221",
+    "22332234333333222",
+    "22333233433333332",
+    "22232223343233222",
+    "22232323334233233",
+    "22323233322433332",
+    "22233223333343332",
+    "22233323333334333",
+    "22223222322333432",
+    "22223322323333343",
+    "12122312223223234",
 )
 # a side's key is the sum of 8 ** degree over its vertices; no degree
 # occurs more than 4 times, so the key spells out the degree sequence
 _EIGHT_POW = (1, 8, 64, 512)
-_SMALL_KEYS = [sum(_EIGHT_POW[d] for d in degrees) for degrees in _SMALL_CLASSES]
+_SMALL_KEYS = [sum(_EIGHT_POW[int(d)] for d in degrees) for degrees in _SMALL_CLASSES]
 # a small bidomain's loss, min(side sizes) - MCIS, by (G key << 12) | H key
 _SMALL_LOSS = {
-    g_key << 12 | h_key: min(len(g_degrees), len(h_degrees)) - cap
+    g_key << 12 | h_key: min(len(g_degrees), len(h_degrees)) - int(cap)
     for g_degrees, g_key, row in zip(_SMALL_CLASSES, _SMALL_KEYS, _SMALL_MCIS)
     for h_degrees, h_key, cap in zip(_SMALL_CLASSES, _SMALL_KEYS, row)
 }
@@ -370,7 +371,6 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         for w in members:
             g_twins[g_new[w]] = mask ^ 1 << g_new[w]
     bot_rank = h.n
-    undirected = not directed
     # each small side's key, by its bits; most sides recur at many nodes
     g_keys: dict[int, int] = {}
     h_keys: dict[int, int] = {}
@@ -446,7 +446,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         # each small bidomain's loss comes off the lead; a node with nothing
         # left to match has no lead once it is the incumbent
         lead = bound - incumbent
-        if undirected:
+        if not directed:
             for gb, hb, gl, hl in bds:
                 if 1 < gl < 5 and 1 < hl < 5:
                     g_key = g_keys.get(gb)

@@ -89,7 +89,7 @@ def small_bidomain_bound(
     partition: list[Bidomain],
     g: Graph,
     h: Graph,
-    caps: dict | None = None,
+    caps: dict,
 ) -> int:
     """``upper_bound`` with each small bidomain capped by its own optimum.
 
@@ -103,8 +103,6 @@ def small_bidomain_bound(
     bound = upper_bound(mapping, partition)
     if g.directed:
         return bound
-    if caps is None:
-        caps = {}
     for bd in partition:
         if 2 <= len(bd.gs) <= 4 and 2 <= len(bd.hs) <= 4:
             sides = (tuple(bd.gs), tuple(bd.hs))

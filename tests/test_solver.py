@@ -601,6 +601,20 @@ def test_engine_matches_reference_on_random_pairs():
             assert sol.mapping == ref_mapping, f"pair {pair.index} config {name}"
 
 
+def test_small_side_keys_start_over_when_full(monkeypatch):
+    # with room for one key per graph, nearly every lookup misses and most
+    # insertions empty the keys first; the counters must not notice
+    monkeypatch.setattr("mcis.solver._KEYS_KEPT", 1)
+    pairs = [p for p in corpus_pairs(count=120, seed=9012, min_n=6, max_n=10) if not p.directed]
+    for pair in pairs:
+        for name in ("none", "dual"):
+            config = SolverConfig(name)
+            sol = solve(pair.g, pair.h, config)
+            ref_mapping, ref_stats = reference_solve(pair.g, pair.h, config)
+            assert {key: getattr(sol.stats, key) for key in ref_stats} == ref_stats, (pair.index, name)
+            assert sol.mapping == ref_mapping, (pair.index, name)
+
+
 @st.composite
 def _graph_pairs(draw, max_n=14):
     """Two graphs of one directedness x loops mode, past the oracle's n <= 10."""
