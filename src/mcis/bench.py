@@ -53,10 +53,11 @@ def load_graph(path: str | Path, fmt: str = "lad", directed: bool = False, loops
 
 
 def _read_utf8(path: str | Path) -> str:
-    """A file's text decoded as UTF-8, whatever the locale. CRLF and CR
-    line ends stay in it: ``splitlines`` takes each as one break."""
+    """A file's text decoded as UTF-8, whatever the locale, without a
+    leading byte-order mark. CRLF and CR line ends stay in it:
+    ``splitlines`` takes each as one break."""
     with open(path, "rb") as f:
-        return f.read().decode("utf-8")
+        return f.read().decode("utf-8-sig")
 
 
 def run_instance(

@@ -55,44 +55,46 @@ those rows unchanged, so every counter is the oriented search's.
 
 The search runs on bitsets. G is relabelled by (-degree, id), so the
 branching vertex of a bidomain is its lowest set bit. H is relabelled by
-the value order, so a vertex's label is its rank, unmatched is rank n, and
-walking a bidomain's H bits upward yields the candidates in value order.
-G's rows are relabelled up front; an H row the first time a split reads
-it, since most H vertices of a large sparse target never become a
-candidate that gets split. A bidomain is a ``(g_bits, h_bits, g_len,
-h_len)`` tuple, and :func:`_split`, the one partition operation, halves
-every bidomain by one row per side. The root is the whole vertex sets
-split by loop flag; a match splits by the out-rows of the pair and, for
-directed graphs, then by the in-rows. Pairs are mapped back to the
-original ids only when an incumbent is recorded.
+the value order, so a vertex's label is its rank, and walking a bidomain's
+H bits upward yields the candidates in value order. G's rows are
+relabelled up front; an H row the first time a split reads it, since most
+H vertices of a large sparse target never become a candidate that gets
+split. A bidomain is a ``(g_bits, h_bits, g_len, h_len)`` tuple, and
+:func:`_split`, the one partition operation, halves every bidomain by one
+row per side. The root is the whole vertex sets split by loop flag; a
+match splits by the out-rows of the pair and, for directed graphs, then by
+the in-rows. Pairs are mapped back to the original ids only when an
+incumbent is recorded.
 
 ``solve`` runs the search as one loop over a stack of pending nodes, so
 memory, not the recursion limit, bounds its depth. An entry holds
-bidomains, matched count, path length above the node, the pair leading to
-it, a bound, a split index and the index of the bidomain it branches on.
-A node takes v out of its chosen bidomain in its own list, then pushes its
-unmatched child, with that list and its exact bound, and its candidates
-from the top rank down, so they pop in value order with the unmatched
-child last, as the counters expect.
+bidomains, matched count, the pair leading to it, a bound and a split
+index. The path above a node holds only its matched pairs. Only the
+incumbent's record and the variable rule read the path, and the rule never
+needs an unmatched pair there: a vertex left unmatched takes its twins
+with it, so no node below branches on one of them. A node scans its list
+once for the bidomain to branch on, the first with the smallest max side,
+as McSplit does. It takes v out of that bidomain in its own list, then
+pushes its unmatched child, with that list and its exact bound, and its
+candidates from the top rank down, so they pop in value order with the
+unmatched child last, as the counters expect.
 
 A candidate is pushed unsplit, with the same list, the node's bound and
-the chosen index. A child's bound never exceeds its parent's: the chosen
-bidomain's min falls by one, the match adds one back, and splitting only
-lowers the sum. So a popped node is decided by one test. A candidate whose
-parent's bound still beats the incumbent is split first: it takes u out of
-the chosen bidomain, splits the list and puts the bidomain back. The split
-stops as soon as the halves have lost more of the list's min sides than
-the bound's lead over the incumbent allows, and the candidate is pruned;
-else it also gives the candidate its choice, the first half with the
-smallest max side. Then any node whose bound does not beat the incumbent
+the branching bidomain's index. A child's bound never exceeds its
+parent's: the chosen bidomain's min falls by one, the match adds one back,
+and splitting only lowers the sum. So a popped node is decided by one
+test. A candidate whose parent's bound still beats the incumbent is split
+first: it takes u out of the chosen bidomain, splits the list and puts the
+bidomain back. The split stops as soon as the halves have lost more of the
+list's min sides than the bound's lead over the incumbent allows, and the
+candidate is pruned. Then any node whose bound does not beat the incumbent
 is pruned, and counted as such, and so is a node whose small bidomains'
 losses use up its lead once the incumbent is updated. No other node reads
 the list meanwhile: it is the root, a split's result or a parent's list
 that all of the parent's candidates are done with, and the unmatched
 child, which takes it over, pops after every sibling. The unmatched child
-keeps its parent's choice, since taking G vertices out only lowers that
-bidomain's max. Only when v was the chosen bidomain's last G vertex does
-it get a copy without that bidomain, and scan the copy for its choice.
+gets a copy only when v was its bidomain's last G vertex or v's twins left
+with it, since the candidates keep them.
 
 The counters live in locals of the loop and reach its ``SearchStats``
 once, when the loop ends, which a timeout does by ``break``. The choice of
@@ -263,13 +265,10 @@ def _split(bds, g_row, h_row, slack):
     The no-edge half comes first, and a half with an empty side is dropped:
     none of its vertices can be matched any more. ``slack`` is how much of
     the sum of min(g_len, h_len) over ``bds`` the halves may lose. Returns
-    ``None`` as soon as they have lost more, else the halves, the slack
-    left and the index of the first half with the smallest max(g_len,
-    h_len), the bidomain the search branches on next.
+    ``None`` as soon as they have lost more, else the halves and the slack
+    left.
     """
     out = []
-    best_k = 1 << 60
-    choice = 0
     for gb, hb, gl, hl in bds:
         g1 = gb & g_row
         h1 = hb & h_row
@@ -279,32 +278,16 @@ def _split(bds, g_row, h_row, slack):
         if g0 and h0:
             gl = g0.bit_count()
             hl = h0.bit_count()
-            if gl < hl:
-                slack += gl
-                k = hl
-            else:
-                slack += hl
-                k = gl
-            if k < best_k:
-                best_k = k
-                choice = len(out)
+            slack += gl if gl < hl else hl
             out.append((g0, h0, gl, hl))
         if g1 and h1:
             gl = g1.bit_count()
             hl = h1.bit_count()
-            if gl < hl:
-                slack += gl
-                k = hl
-            else:
-                slack += hl
-                k = gl
-            if k < best_k:
-                best_k = k
-                choice = len(out)
+            slack += gl if gl < hl else hl
             out.append((g1, h1, gl, hl))
         if slack < 0:
             return None
-    return out, slack, choice
+    return out, slack
 
 
 def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
@@ -370,7 +353,6 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         mask = sum(1 << g_new[w] for w in members)
         for w in members:
             g_twins[g_new[w]] = mask ^ 1 << g_new[w]
-    bot_rank = h.n
     # each small side's key, by its bits; most sides recur at many nodes
     g_keys: dict[int, int] = {}
     h_keys: dict[int, int] = {}
@@ -382,9 +364,9 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     h_loops = sum(1 << i for i, u in enumerate(h_ids) if h.loops[u]) if any(h.loops) else 0
     # with its whole min side as slack, the root's slack left is its bound
     everything = [((1 << g.n) - 1, (1 << h.n) - 1, g.n, h.n)]
-    root, root_bound, root_i = _split(everything, g_loops, h_loops, min(g.n, h.n))
+    root, root_bound = _split(everything, g_loops, h_loops, min(g.n, h.n))
 
-    # (v, rank) pairs, where rank bot_rank leaves v unmatched
+    # the matched (v, rank) pairs on the path to the node
     mapping: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
     branches = bound_prunes = var_sym_prunes = val_sym_prunes = 0
@@ -392,13 +374,13 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     time_to_best = 0.0
     branches_to_best = 0
     completed = True
-    # pending nodes: (bidomains, matched count, path length above, pair,
-    # bound, split index, choice); a split index of -1 marks bidomains
-    # already split, a choice of -1 one the node must scan for
-    stack = [(root, 0, 0, None, root_bound, -1, root_i)]
+    # pending nodes: (bidomains, matched count, pair, bound, split index);
+    # the root and an unmatched child have no pair, and their bidomains are
+    # already split, which a split index of -1 marks
+    stack = [(root, 0, None, root_bound, -1)]
 
     while stack:
-        bds, mc, depth, pair, bound, bi, best_i = stack.pop()
+        bds, mc, pair, bound, bi = stack.pop()
         branches += 1
         if deadline is not None and (branches - 1) % _CHECK_INTERVAL == 0 and perf_counter() >= deadline:
             completed = False
@@ -428,19 +410,22 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             if child is None:
                 bound_prunes += 1
                 continue
-            bds, slack, best_i = child
+            bds, slack = child
             bound = incumbent + 1 + slack
         if bound <= incumbent:
             bound_prunes += 1
             continue
 
-        # only a node the bound keeps reads the path
-        del mapping[depth:]
-        if pair is not None:
+        # only a node the bound keeps reads the path; its parent's pairs still
+        # head it, mc of them, or mc - 1 before a candidate's own
+        if pair is None:
+            del mapping[mc:]
+        else:
+            del mapping[mc - 1 :]
             mapping.append(pair)
         if mc > incumbent:
             incumbent = mc
-            best = [(g_ids[v], h_ids[u]) for v, u in mapping if u < bot_rank]
+            best = [(g_ids[v], h_ids[u]) for v, u in mapping]
             time_to_best = perf_counter() - t0
             branches_to_best = branches
         # each small bidomain's loss comes off the lead; a node with nothing
@@ -466,15 +451,15 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         if lead <= 0:
             bound_prunes += 1
             continue
-        path_len = len(mapping)
 
-        if best_i < 0:
-            best_k = 1 << 60
-            for i, (_, _, gl, hl) in enumerate(bds):
-                k = gl if gl >= hl else hl
-                if k < best_k:
-                    best_k = k
-                    best_i = i
+        # branch on the first bidomain with the smallest max side; the list
+        # is not empty, since a node with nothing left to match has no lead
+        best_k = 1 << 60
+        for i, (_, _, gl, hl) in enumerate(bds):
+            k = gl if gl >= hl else hl
+            if k < best_k:
+                best_k = k
+                best_i = i
         gb, hb, gl, hl = bds[best_i]
         low = gb & -gb
         v = low.bit_length() - 1
@@ -506,18 +491,13 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         if not gl:
             rest = bds.copy()
             del rest[best_i]
-            rest_i = -1
         elif twins:
             # on a copy: the candidates keep the twins
             rest = bds.copy()
             rest[best_i] = (gb, hb, gl, hl)
-            rest_i = best_i
         else:
             rest = bds
-            rest_i = best_i
-        # an inherited choice holds, since a smaller max keeps the chosen
-        # bidomain the first smallest
-        stack.append((rest, mc, path_len, (v, bot_rank), rest_bound, -1, rest_i))
+        stack.append((rest, mc, None, rest_bound, -1))
 
         prev_class = -1
         cands = hb
@@ -537,7 +517,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 # an interchangeable candidate comes first in this bidomain
                 val_sym_prunes += 1
                 continue
-            stack.append((bds, mc + 1, path_len, (v, u), bound, best_i, -1))
+            stack.append((bds, mc + 1, (v, u), bound, best_i))
 
     if swapped:
         best = [(u, v) for v, u in best]

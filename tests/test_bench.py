@@ -123,6 +123,15 @@ def test_load_graph_reads_crlf_utf8_as_its_lf_twin(tmp_path):
     man = tmp_path / "måns.txt"
     man.write_bytes("# første\r\nlf.txt crlf.txt\r\n".encode("utf-8"))
     assert read_manifest(man) == [(str(lf), str(crlf))]
+    # a byte-order mark is no part of the first token, of a graph or a manifest
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(NAMED_TEXT.encode("utf-8-sig"))
+    assert load_graph(bom, "edgelist") == a
+    bom_lad = tmp_path / "bom.lad"
+    bom_lad.write_bytes(K3_LAD.replace("\n", "\r\n").encode("utf-8-sig"))
+    assert load_graph(bom_lad) == load_graph(write(tmp_path / "k3.lad", K3_LAD))
+    man.write_bytes("lf.txt bom.txt\r\n".encode("utf-8-sig"))
+    assert read_manifest(man) == [(str(lf), str(bom))]
 
 
 def test_load_graph_ignores_the_locale_encoding(tmp_path):

@@ -2,10 +2,12 @@ import gc
 import itertools
 import random
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from corpus import MODES, corpus_pairs
 from known_instance import BRANCHES, OPTIMUM, graph_g, graph_h
 from mcis import (
@@ -313,13 +315,13 @@ def test_refine_asymmetric_buckets_are_dropped_separately():
 
 
 # two bidomains split by rows {0, 3} and {0, 1, 3}: the first loses one of
-# its min side 3, the second none, and its halves have the smallest max
+# its min side 3, the second none
 _SPLIT_IN = [(0b00111, 0b00111, 3, 3), (0b11000, 0b11000, 2, 2)]
 _SPLIT_ROWS = (0b01001, 0b01011)
 
 
-def test_split_returns_halves_slack_left_and_choice():
-    halves, slack, choice = _split(_SPLIT_IN, *_SPLIT_ROWS, 1)
+def test_split_returns_halves_and_slack_left():
+    halves, slack = _split(_SPLIT_IN, *_SPLIT_ROWS, 1)
     assert halves == [
         (0b00110, 0b00100, 2, 1),
         (0b00001, 0b00011, 1, 2),
@@ -327,15 +329,13 @@ def test_split_returns_halves_slack_left_and_choice():
         (0b01000, 0b01000, 1, 1),
     ]
     assert slack == 0
-    # the first half with the smallest max side: ties keep the earlier one
-    assert choice == 2
 
 
 def test_split_stops_once_the_loss_exceeds_the_slack():
     assert _split(_SPLIT_IN, *_SPLIT_ROWS, 0) is None
     # the slack may be spent to the last unit, and an empty list loses nothing
     assert _split(_SPLIT_IN, *_SPLIT_ROWS, 5)[1] == 4
-    assert _split([], 0, 0, 0) == ([], 0, 0)
+    assert _split([], 0, 0, 0) == ([], 0)
 
 
 # -- solve: whole searches ----------------------------------------------------
@@ -723,6 +723,41 @@ def test_twin_rich_pairs_keep_the_optimum(pair):
         assert sol.mapping == ref_mapping, name
         assert sol.stats.incumbent_size == optimum, name
         assert is_isomorphism(g, h, sol.mapping), name
+
+
+def _branching_beside_unmatched_mates(g, h):
+    """Every (config, v, w) where a node of ``reference_solve``, under the
+    var rule, branches on v while w, a class-mate of v, is left unmatched on
+    the node's path. None means the rule never reads an unmatched pair, so
+    the engine's path can keep matched pairs only."""
+    found = []
+    for name in ("var", "dual"):
+        calls = 0
+
+        def recording(mapping, v, u, classes_g, value_rank):
+            # asked about every candidate of every node that branches
+            nonlocal calls
+            calls += 1
+            cid = classes_g.class_id[v]
+            found.extend((name, v, w) for w, y in mapping if y is None and w != v and classes_g.class_id[w] == cid)
+            return var_sym_prunable(mapping, v, u, classes_g, value_rank)
+
+        with mock.patch.object(reference, "var_sym_prunable", recording):
+            _, stats = reference_solve(g, h, SolverConfig(name))
+        # each node the bound keeps branches, on a bidomain with candidates
+        assert calls >= stats["branches"] - stats["bound_prunes"], name
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blow_up_pairs())
+def test_no_node_branches_beside_an_unmatched_class_mate(pair):
+    assert _branching_beside_unmatched_mates(*pair) == []
+
+
+def test_no_node_branches_beside_an_unmatched_class_mate_on_corpus():
+    for pair in corpus_pairs():
+        assert _branching_beside_unmatched_mates(pair.g, pair.h) == [], pair.index
 
 
 # -- orientation: the smaller graph branches, a dense pair is complemented ----
