@@ -117,7 +117,8 @@ def _cmd_symmetry(args) -> int:
     classes = compute_symmetry_classes(g)
     payload = {
         "classes": [
-            {"kind": kind, "members": list(members)} for kind, members in classes.nontrivial()
+            {"kind": kind, "members": [g.display_name(v) for v in members]}
+            for kind, members in classes.nontrivial()
         ]
     }
     print(json.dumps(payload))

@@ -2,17 +2,18 @@
 
 The search here shares nothing with the production solver: no partitions,
 no bound, no symmetry reasoning. It enumerates subsets of the first graph's
-vertices in decreasing size and, per subset, every injection into the second
-graph, keeping only those that induce isomorphic subgraphs. Injections are
-generated by a plain backtracking walk that offers each vertex only the
-unused vertices whose loop flag and adjacency to the assignment so far
-agree with its own; that changes nothing about which mappings are found,
-only how fast the hopeless ones are discarded.
+vertices and, per subset, every injection into the second graph, keeping
+only those that induce isomorphic subgraphs. Injections are generated by a
+plain backtracking walk that offers each vertex only the unused vertices
+whose loop flag and adjacency to the assignment so far agree with its own;
+that changes nothing about which mappings are found, only how fast the
+hopeless ones are discarded.
 
-``brute_force_size`` finds the optimum alone. It tries the sizes upward
-and stops each at its first mapping, so it walks in full only the size
-past the optimum: a pair with millions of maximum mappings costs it one
-mapping of each size.
+``brute_force_size`` finds the optimum. It tries the sizes upward and
+stops each at its first mapping, so it walks in full only the size past
+the optimum: a pair with millions of maximum mappings costs it one
+mapping of each size. ``brute_force_mcis`` takes the optimum from it and
+then enumerates the mappings of that size alone.
 
 Intentionally restricted to tiny graphs (n <= 10 each side).
 """
@@ -47,22 +48,19 @@ def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP)
     if witness_cap < 0:
         raise ValueError("witness_cap must be non-negative")
 
-    for k in range(min(g.n, h.n), 0, -1):
-        witnesses: list[tuple[tuple[int, int], ...]] = []
-        # counted apart from the witnesses kept: a size with mappings but
-        # none stored (cap 0) is still the optimum
-        found = 0
-        for subset in combinations(range(g.n), k):
-            for image in _consistent_images(g, h, subset):
-                mapping = tuple(zip(subset, image))
-                assert is_isomorphism(g, h, mapping)
-                found += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append(mapping)
-        if found:
-            return OracleResult(k, witnesses, found > len(witnesses), found)
-    # the empty mapping is the one maximum mapping
-    return OracleResult(0, [()] if witness_cap else [], witness_cap == 0, 1)
+    k = brute_force_size(g, h)
+    witnesses: list[tuple[tuple[int, int], ...]] = []
+    # counted apart from the witnesses kept, which the cap may stop short
+    found = 0
+    # at size 0 the one subset is empty and has the one empty mapping
+    for subset in combinations(range(g.n), k):
+        for image in _consistent_images(g, h, subset):
+            mapping = tuple(zip(subset, image))
+            assert is_isomorphism(g, h, mapping)
+            found += 1
+            if len(witnesses) < witness_cap:
+                witnesses.append(mapping)
+    return OracleResult(k, witnesses, found > len(witnesses), found)
 
 
 def brute_force_size(g: Graph, h: Graph) -> int:

@@ -67,34 +67,35 @@ the in-rows. Pairs are mapped back to the original ids only when an
 incumbent is recorded.
 
 ``solve`` runs the search as one loop over a stack of pending nodes, so
-memory, not the recursion limit, bounds its depth. An entry holds
-bidomains, matched count, the pair leading to it, a bound and a split
-index. The path above a node holds only its matched pairs. Only the
-incumbent's record and the variable rule read the path, and the rule never
-needs an unmatched pair there: a vertex left unmatched takes its twins
-with it, so no node below branches on one of them. A node scans its list
-once for the bidomain to branch on, the first with the smallest max side,
-as McSplit does. It takes v out of that bidomain in its own list, then
-pushes its unmatched child, with that list and its exact bound, and its
-candidates from the top rank down, so they pop in value order with the
-unmatched child last, as the counters expect.
+memory, not the recursion limit, bounds its depth. An entry holds four
+fields: bidomains, matched count, candidate and bound. The candidate is
+``None`` for the root and for an unmatched child, whose lists are already
+split; a candidate not yet split holds its pair (v, u) and the index of
+the bidomain it comes from. The path above a node holds only its matched
+pairs. Only the incumbent's record and the variable rule read the path,
+and the rule never needs an unmatched pair there: a vertex left unmatched
+takes its twins with it, so no node below branches on one of them.
 
-A candidate is pushed unsplit, with the same list, the node's bound and
-the branching bidomain's index. A child's bound never exceeds its
-parent's: the chosen bidomain's min falls by one, the match adds one back,
-and splitting only lowers the sum. So a popped node is decided by one
-test. A candidate whose parent's bound still beats the incumbent is split
-first: it takes u out of the chosen bidomain, splits the list and puts the
-bidomain back. The split stops as soon as the halves have lost more of the
-list's min sides than the bound's lead over the incumbent allows, and the
-candidate is pruned. Then any node whose bound does not beat the incumbent
-is pruned, and counted as such, and so is a node whose small bidomains'
-losses use up its lead once the incumbent is updated. No other node reads
-the list meanwhile: it is the root, a split's result or a parent's list
-that all of the parent's candidates are done with, and the unmatched
-child, which takes it over, pops after every sibling. The unmatched child
-gets a copy only when v was its bidomain's last G vertex or v's twins left
-with it, since the candidates keep them.
+A child's bound never exceeds its parent's: the chosen bidomain's min
+falls by one, the match adds one back, and splitting only lowers the sum.
+So a popped node is first pruned, and counted as such, when the bound it
+was pushed with does not beat the incumbent. A candidate that passes is
+split: it takes u out of the chosen bidomain, splits the list and puts the
+bidomain back. The split stops, and the candidate is pruned, as soon as
+the halves have lost more of the list's min sides than the bound's lead
+over the incumbent allows, so a candidate that survives it still beats
+the incumbent.
+
+Each node the bound keeps updates the incumbent, then scans its list
+once. The scan takes each small bidomain's loss off the node's lead, and
+the node is pruned once no lead is left; it also finds the bidomain to branch on, the first with the
+smallest max side, as McSplit does. The node takes v out of that
+bidomain, then pushes its unmatched child, on a copy of the list and with
+its exact bound, and its candidates from the top rank down, so they pop
+in value order with the unmatched child last, as the counters expect.
+A kept node owns its list (the root's, a split's result or its own copy),
+and its candidates share it, each taking u out and putting it back around
+its own split.
 
 The counters live in locals of the loop and reach its ``SearchStats``
 once, when the loop ends, which a timeout does by ``break``. The choice of
@@ -374,23 +375,30 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     time_to_best = 0.0
     branches_to_best = 0
     completed = True
-    # pending nodes: (bidomains, matched count, pair, bound, split index);
-    # the root and an unmatched child have no pair, and their bidomains are
-    # already split, which a split index of -1 marks
-    stack = [(root, 0, None, root_bound, -1)]
+    # pending nodes: (bidomains, matched count, candidate, bound); the
+    # candidate is None for the root and an unmatched child, whose lists
+    # are already split, else the pair (v, u) with the index of the
+    # bidomain it is split from
+    stack = [(root, 0, None, root_bound)]
 
     while stack:
-        bds, mc, pair, bound, bi = stack.pop()
+        bds, mc, cand, bound = stack.pop()
         branches += 1
         if deadline is not None and (branches - 1) % _CHECK_INTERVAL == 0 and perf_counter() >= deadline:
             completed = False
             break
+        # an unsplit candidate holds its parent's bound, which its own
+        # cannot exceed, so this one test comes before any split
+        if bound <= incumbent:
+            bound_prunes += 1
+            continue
 
-        # a candidate not yet split holds its parent's bound, which its own
-        # cannot exceed, so only one that bound keeps is split, and the
-        # split stops once the loss would cost the bound its lead
-        if bi >= 0 and bound > incumbent:
-            v, u = pair
+        # only a node the bound keeps reads the path; its parent's pairs still
+        # head it, mc of them, or mc - 1 before a candidate's own
+        if cand is None:
+            del mapping[mc:]
+        else:
+            v, u, bi = cand
             chosen = bds[bi]
             gb, hb, gl, hl = chosen
             bds[bi] = (gb, hb ^ (1 << u), gl, hl - 1)
@@ -412,54 +420,45 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 continue
             bds, slack = child
             bound = incumbent + 1 + slack
-        if bound <= incumbent:
-            bound_prunes += 1
-            continue
-
-        # only a node the bound keeps reads the path; its parent's pairs still
-        # head it, mc of them, or mc - 1 before a candidate's own
-        if pair is None:
-            del mapping[mc:]
-        else:
             del mapping[mc - 1 :]
-            mapping.append(pair)
+            mapping.append((v, u))
         if mc > incumbent:
             incumbent = mc
             best = [(g_ids[v], h_ids[u]) for v, u in mapping]
             time_to_best = perf_counter() - t0
             branches_to_best = branches
-        # each small bidomain's loss comes off the lead; a node with nothing
-        # left to match has no lead once it is the incumbent
-        lead = bound - incumbent
-        if not directed:
-            for gb, hb, gl, hl in bds:
-                if 1 < gl < 5 and 1 < hl < 5:
-                    g_key = g_keys.get(gb)
-                    if g_key is None:
-                        if len(g_keys) == _KEYS_KEPT:
-                            g_keys.clear()
-                        g_key = g_keys[gb] = _side_key(gb, g_out) << 12
-                    h_key = h_keys.get(hb)
-                    if h_key is None:
-                        if len(h_keys) == _KEYS_KEPT:
-                            h_keys.clear()
-                        # on H's own rows, since most are not relabelled
-                        h_key = h_keys[hb] = _side_key(_relabel_row(hb, h_ids), h_rows[0])
-                    lead -= _SMALL_LOSS[g_key | h_key]
-                    if lead <= 0:
-                        break
-        if lead <= 0:
-            bound_prunes += 1
-            continue
 
-        # branch on the first bidomain with the smallest max side; the list
-        # is not empty, since a node with nothing left to match has no lead
+        # one scan takes each small bidomain's loss off the lead and finds
+        # the first bidomain with the smallest max side to branch on; a
+        # node with nothing left to match has no lead once it is the
+        # incumbent, so a node that branches has a bidomain
+        lead = bound - incumbent
         best_k = 1 << 60
-        for i, (_, _, gl, hl) in enumerate(bds):
+        for i, (gb, hb, gl, hl) in enumerate(bds):
             k = gl if gl >= hl else hl
             if k < best_k:
                 best_k = k
                 best_i = i
+            # the table holds undirected sides of 2-4 vertices
+            if k < 5 and gl > 1 and hl > 1 and not directed:
+                g_key = g_keys.get(gb)
+                if g_key is None:
+                    if len(g_keys) == _KEYS_KEPT:
+                        g_keys.clear()
+                    g_key = g_keys[gb] = _side_key(gb, g_out) << 12
+                h_key = h_keys.get(hb)
+                if h_key is None:
+                    if len(h_keys) == _KEYS_KEPT:
+                        h_keys.clear()
+                    # on H's own rows, since most are not relabelled
+                    h_key = h_keys[hb] = _side_key(_relabel_row(hb, h_ids), h_rows[0])
+                lead -= _SMALL_LOSS[g_key | h_key]
+                if lead <= 0:
+                    break
+        if lead <= 0:
+            bound_prunes += 1
+            continue
+
         gb, hb, gl, hl = bds[best_i]
         low = gb & -gb
         v = low.bit_length() - 1
@@ -473,9 +472,8 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 if pu > var_bound and gclass[pv] == cls:
                     var_bound = pu
 
-        # every child lacks v; the candidates take u out too when popped,
-        # and the unmatched child, which pops after them all, takes the
-        # list over
+        # every child lacks v; the candidates share this list and take u out
+        # of it around their own splits, the unmatched child owns a copy
         bds[best_i] = (gb, hb, gl, hl)
         # leaving v out lowers the chosen min by one exactly when G's side,
         # now short of v, is the smaller
@@ -488,16 +486,12 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             left = gl - twins.bit_count()
             rest_bound -= (gl if gl < hl else hl) - (left if left < hl else hl)
             gl = left
-        if not gl:
-            rest = bds.copy()
-            del rest[best_i]
-        elif twins:
-            # on a copy: the candidates keep the twins
-            rest = bds.copy()
+        rest = bds.copy()
+        if gl:
             rest[best_i] = (gb, hb, gl, hl)
         else:
-            rest = bds
-        stack.append((rest, mc, None, rest_bound, -1))
+            del rest[best_i]
+        stack.append((rest, mc, None, rest_bound))
 
         prev_class = -1
         cands = hb
@@ -517,7 +511,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 # an interchangeable candidate comes first in this bidomain
                 val_sym_prunes += 1
                 continue
-            stack.append((bds, mc + 1, (v, u), bound, best_i))
+            stack.append((bds, mc + 1, (v, u, best_i), bound))
 
     if swapped:
         best = [(u, v) for v, u in best]

@@ -72,7 +72,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path, k3):
     star = write(tmp_path / "star.lad", to_lad(Graph(3, [(0, 1), (0, 2)])))
     code, out, _ = run(capsys, "symmetry", star)
     assert code == 0
-    assert json.loads(out) == {"classes": [{"kind": "negative", "members": [1, 2]}]}
+    assert json.loads(out) == {"classes": [{"kind": "negative", "members": ["1", "2"]}]}
 
 
 def test_solve_writes_stats_json(capsys, tmp_path, k3):
@@ -132,7 +132,7 @@ def test_symmetry_star(capsys, tmp_path):
     star = write(tmp_path / "star.lad", to_lad(Graph(5, [(0, i) for i in range(1, 5)])))
     code, out, _ = run(capsys, "symmetry", star)
     assert code == 0
-    assert json.loads(out) == {"classes": [{"kind": "negative", "members": [1, 2, 3, 4]}]}
+    assert json.loads(out) == {"classes": [{"kind": "negative", "members": ["1", "2", "3", "4"]}]}
 
 
 def test_symmetry_lists_classes_by_smallest_member(capsys, tmp_path):
@@ -142,10 +142,18 @@ def test_symmetry_lists_classes_by_smallest_member(capsys, tmp_path):
     code, out, _ = run(capsys, "symmetry", g)
     assert code == 0
     assert out == (
-        '{"classes": [{"kind": "positive", "members": [0, 1]}, '
-        '{"kind": "negative", "members": [3, 4]}]}\n'
+        '{"classes": [{"kind": "positive", "members": ["0", "1"]}, '
+        '{"kind": "negative", "members": ["3", "4"]}]}\n'
     )
 
+
+
+def test_symmetry_prints_display_names(capsys, tmp_path):
+    # members are named as solve and oracle name mapped vertices
+    star = write(tmp_path / "star.txt", "4 3\nhub a\nhub b\nhub c\n")
+    code, out, _ = run(capsys, "symmetry", star, "--format", "edgelist")
+    assert code == 0
+    assert json.loads(out) == {"classes": [{"kind": "negative", "members": ["a", "b", "c"]}]}
 
 def test_oracle_triangles(capsys, k3):
     code, out, _ = run(capsys, "oracle", k3, k3, "--max-witnesses", "2")

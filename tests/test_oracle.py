@@ -1,12 +1,13 @@
 import math
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcis import Graph, brute_force_mcis, is_isomorphism
 from mcis.oracle import brute_force_size
-from reference import edge_list, induced_subgraph
+from reference import edge_list, induced_subgraph, reference_is_isomorphism
 
 
 def k(n):
@@ -95,11 +96,11 @@ def test_size_path_stops_at_the_first_mapping():
 
 
 @st.composite
-def graph_pairs(draw):
+def graph_pairs(draw, max_n=5):
     directed = draw(st.booleans())
     out = []
     for _ in range(2):
-        n = draw(st.integers(min_value=1, max_value=5))
+        n = draw(st.integers(min_value=1, max_value=max_n))
         edges = draw(
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
         )
@@ -128,6 +129,27 @@ def test_size_path_agrees_with_the_full_walk(pair):
     g, h = pair
     assert brute_force_size(g, h) == brute_force_mcis(g, h, witness_cap=0).size
 
+
+@settings(max_examples=60, deadline=None)
+@given(graph_pairs(max_n=6))
+def test_witnesses_are_every_maximum_mapping_in_order(pair):
+    # the naive walk: every subset of G with every arrangement of H's ids,
+    # from the largest size down to the first that has a mapping
+    g, h = pair
+    for size in range(min(g.n, h.n), -1, -1):
+        naive = [
+            mapping
+            for subset in combinations(range(g.n), size)
+            for image in permutations(range(h.n), size)
+            if reference_is_isomorphism(g, h, mapping := tuple(zip(subset, image)))
+        ]
+        if naive:
+            break
+    res = brute_force_mcis(g, h)
+    assert res.size == size == brute_force_size(g, h)
+    assert res.witnesses == naive
+    assert res.witness_count == len(naive)
+    assert not res.witnesses_capped
 
 @settings(max_examples=60, deadline=None)
 @given(graph_pairs())
