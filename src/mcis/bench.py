@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-from .graph import Graph, is_isomorphism, parse_edgelist, parse_lad
+from .graph import Graph, GraphParseError, is_isomorphism, parse_edgelist, parse_lad
 from .solver import SearchStats, SolverConfig, solve
 
 FORMATS = ("lad", "edgelist")
@@ -55,9 +55,18 @@ def load_graph(path: str | Path, fmt: str = "lad", directed: bool = False, loops
 def _read_utf8(path: str | Path) -> str:
     """A file's text decoded as UTF-8, whatever the locale, without a
     leading byte-order mark. CRLF and CR line ends stay in it:
-    ``splitlines`` takes each as one break."""
+    ``splitlines`` takes each as one break. A byte that is not UTF-8 raises
+    ``GraphParseError`` on its line, as ``splitlines`` numbers them."""
     with open(path, "rb") as f:
-        return f.read().decode("utf-8-sig")
+        data = f.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object holds the bytes after any byte-order mark; a character
+        # put in the bad byte's place falls on the bad byte's line
+        head = exc.object[: exc.start].decode("utf-8")
+        line_no = len((head + "?").splitlines())
+        raise GraphParseError(line_no, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
 
 
 def run_instance(
@@ -101,8 +110,12 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     """
     mpath = Path(path)
     base = mpath.parent
+    try:
+        text = _read_utf8(mpath)
+    except GraphParseError as exc:
+        raise ValueError(f"{mpath}:{exc.line_no}: {exc.message}") from None
     pairs = []
-    for i, raw in enumerate(_read_utf8(mpath).splitlines(), start=1):
+    for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,6 +252,9 @@ def run_batch(
         jobs = os.cpu_count() or 1
 
     pairs = read_manifest(manifest_path)
+    # made before any task runs, so a bad path loses no solve
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     tasks = []
     for i, (g_path, h_path) in enumerate(pairs):
         for config in solver_configs:
@@ -253,8 +269,6 @@ def run_batch(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_task, tasks))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "reports.jsonl", "w") as f:
         for rep in reports:
             f.write(json.dumps(rep) + "\n")

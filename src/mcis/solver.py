@@ -15,14 +15,17 @@ bidomain, and the pairs one bidomain gives induce isomorphic subgraphs of
 its two sides, so it gives at most the MCIS of those subgraphs. For
 undirected graphs on at most 4 vertices, the sorted degree sequence fixes
 the isomorphism class, 17 classes in all. So a bidomain of an undirected
-pair with 2-4 vertices on each side is capped by one lookup in a fixed
-17x17 table of their MCIS sizes, and its loss, min(side sizes) less that
-cap, comes off the node's lead over the incumbent. The losses are taken
-at each node the plain bound keeps and are not passed on: a child's
-bidomains are split anew, and the splits below rely on the plain sum,
-which alone never grows from parent to child. A side's table key is kept
-by its bits, since most small sides recur at many nodes; a search keeps
-at most ``_KEYS_KEPT`` keys per graph and starts over when full.
+pair with 2-4 vertices on each side is capped by one lookup in a 17x17
+table of their MCIS sizes, and its loss, min(side sizes) less that cap,
+comes off the node's lead over the incumbent. The table is derived at
+import from every graph on 2-4 vertices and the subgraphs it induces, all
+keyed by the scan's own key, so the two never disagree on a key. The
+losses are taken at each node the plain bound keeps and are not passed
+on: a child's bidomains are split anew, and the splits below rely on the
+plain sum, which alone never grows from parent to child. A side's table
+key is kept by its bits, since most small sides recur at many nodes; a
+search keeps at most ``_KEYS_KEPT`` keys per graph and starts over when
+full.
 
 Two optional pruning rules exploit interchangeable vertices (see
 :mod:`mcis.symmetry`):
@@ -109,6 +112,7 @@ pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import add, neg
 from time import perf_counter
 
@@ -127,51 +131,15 @@ CONFIG_NAMES = tuple(_CONFIG_RULES)
 # search nodes between two reads of the clock when a timeout is set
 _CHECK_INTERVAL = 1024
 
-# The undirected graphs on 2-4 vertices, one per isomorphism class, as
-# sorted degree sequences, one digit per vertex: at these sizes the
-# sequence fixes the class.
-_SMALL_CLASSES = (
-    "00", "11",
-    "000", "011", "112", "222",
-    "0000", "0011", "0112", "1111", "0222", "1113", "1122", "1223", "2222", "2233", "3333",
-)
-# the largest common induced subgraph of each pair of those classes, one
-# digit per entry
-_SMALL_MCIS = (
-    "21222122222222221",
-    "12122212222222222",
-    "21322133322322221",
-    "22232223333233222",
-    "22223222322333332",
-    "12122312223223233",
-    "21322143322322221",
-    "22332234333333222",
-    "22333233433333332",
-    "22232223343233222",
-    "22232323334233233",
-    "22323233322433332",
-    "22233223333343332",
-    "22233323333334333",
-    "22223222322333432",
-    "22223322323333343",
-    "12122312223223234",
-)
 # a side's key is the sum of 8 ** degree over its vertices; no degree
 # occurs more than 4 times, so the key spells out the degree sequence
 _EIGHT_POW = (1, 8, 64, 512)
-_SMALL_KEYS = [sum(_EIGHT_POW[int(d)] for d in degrees) for degrees in _SMALL_CLASSES]
-# a small bidomain's loss, min(side sizes) - MCIS, by (G key << 12) | H key
-_SMALL_LOSS = {
-    g_key << 12 | h_key: min(len(g_degrees), len(h_degrees)) - int(cap)
-    for g_degrees, g_key, row in zip(_SMALL_CLASSES, _SMALL_KEYS, _SMALL_MCIS)
-    for h_degrees, h_key, cap in zip(_SMALL_CLASSES, _SMALL_KEYS, row)
-}
 # side keys a search keeps per graph before it starts over
 _KEYS_KEPT = 4096
 
 
 def _side_key(bits: int, rows: list[int]) -> int:
-    """The key of the subgraph induced by the 2-4 vertices in ``bits``."""
+    """The key of the subgraph induced by the at most 4 vertices in ``bits``."""
     key = 0
     rest = bits
     while rest:
@@ -179,6 +147,37 @@ def _side_key(bits: int, rows: list[int]) -> int:
         key += _EIGHT_POW[(rows[low.bit_length() - 1] & bits).bit_count()]
         rest ^= low
     return key
+
+
+def _small_losses() -> dict[int, int]:
+    """A small bidomain's loss, min(side sizes) - MCIS, by (G key << 12) | H key.
+
+    Every undirected graph on 2-4 vertices is keyed by ``_side_key``, and so
+    is every nonempty subset of its vertices. On at most 4 vertices the
+    degree sequence fixes the isomorphism class, so two graphs' MCIS is the
+    largest subset size among the keys both induce.
+    """
+    # each graph's key: {the key of each subgraph it induces: its size}
+    induced = {}
+    for n in (2, 3, 4):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            rows = [0] * n
+            for i, (a, b) in enumerate(pairs):
+                if mask >> i & 1:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            key = _side_key((1 << n) - 1, rows)
+            if key not in induced:
+                induced[key] = {_side_key(s, rows): s.bit_count() for s in range(1, 1 << n)}
+    return {
+        g_key << 12 | h_key: min(g_sub[g_key], h_sub[h_key]) - max(g_sub[k] for k in g_sub.keys() & h_sub.keys())
+        for g_key, g_sub in induced.items()
+        for h_key, h_sub in induced.items()
+    }
+
+
+_SMALL_LOSS = _small_losses()
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 import mcis.bench
 from mcis import (
     Graph,
+    GraphParseError,
     SearchStats,
     Solution,
     SolverConfig,
@@ -134,6 +135,23 @@ def test_load_graph_reads_crlf_utf8_as_its_lf_twin(tmp_path):
     assert read_manifest(man) == [(str(lf), str(bom))]
 
 
+def test_load_graph_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # lines as splitlines numbers them: a CRLF is one break, a form feed one
+    cases = [
+        ("bad.lad", "lad", b"2\n\xff 1\n1 0\n", 2),
+        ("bom.lad", "lad", b"\xef\xbb\xbf2\r\n1 1\r\n1\xff0\r\n", 3),
+        ("bad.txt", "edgelist", b"3 2\n0 1\n1 caf\xe9\n", 3),
+        ("ff.txt", "edgelist", b"3 2\x0c0 1\n\xe9 2\n", 3),
+        ("first.txt", "edgelist", b"\xff", 1),
+    ]
+    for name, fmt, data, line in cases:
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(GraphParseError, match=f"^line {line}: byte 0x") as info:
+            load_graph(path, fmt)
+        assert info.value.line_no == line, name
+
+
 def test_load_graph_ignores_the_locale_encoding(tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(NAMED_TEXT.encode("utf-8"))
@@ -169,6 +187,13 @@ def test_read_manifest_skips_comments_and_resolves(tmp_path):
 def test_read_manifest_rejects_odd_lines(tmp_path):
     man = write(tmp_path / "m.txt", "one.lad\n")
     with pytest.raises(ValueError, match="two paths"):
+        read_manifest(man)
+
+
+def test_read_manifest_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    man = tmp_path / "m.txt"
+    man.write_bytes(b"# header\r\ng.lad h\xff.lad\n")
+    with pytest.raises(ValueError, match=r"m\.txt:2: byte 0xff is not UTF-8$"):
         read_manifest(man)
 
 
@@ -350,6 +375,32 @@ def test_run_batch_records_failures_and_continues(tmp_path):
     assert not any(failed.values())
     assert failed["completed"] is False and failed["verified"] is False and failed["mapping"] == []
     assert summary["per_config"]["dual"]["errors"] == 1
+
+
+def test_run_batch_records_a_graph_that_is_not_utf8(tmp_path):
+    write(tmp_path / "k3.lad", K3_LAD)
+    (tmp_path / "bad.lad").write_bytes(b"3\n2 1 2\n2 0\xff2\n2 0 1\n")
+    man = write(tmp_path / "m.txt", "bad.lad k3.lad\nk3.lad k3.lad\n")
+    run_batch(man, configs=["dual"], jobs=1, out_dir=tmp_path / "o", timeout=5.0)
+    rows = [json.loads(line) for line in (tmp_path / "o" / "reports.jsonl").read_text().splitlines()]
+    assert rows[0]["error"].startswith("GraphParseError: line 3:")
+    assert rows[1]["error"] is None and rows[1]["incumbent_size"] == 3
+
+
+def test_run_batch_makes_its_out_dir_before_any_solve(tmp_path, monkeypatch):
+    write(tmp_path / "k3.lad", K3_LAD)
+    man = write(tmp_path / "m.txt", "k3.lad k3.lad\n")
+    write(tmp_path / "notadir", "")
+    solves = []
+
+    def spy(*args):
+        solves.append(args)
+        return run_instance(*args)
+
+    monkeypatch.setattr(mcis.bench, "run_instance", spy)
+    with pytest.raises(NotADirectoryError):
+        run_batch(man, configs=["dual", "none"], jobs=1, out_dir=tmp_path / "notadir" / "sub", timeout=5.0)
+    assert solves == []
 
 
 def test_run_batch_parallel_matches_serial(tmp_path):

@@ -109,6 +109,15 @@ def test_solve_parse_error_goes_to_stderr(capsys, tmp_path):
     assert err.startswith("error: line 2:")
 
 
+def test_solve_input_that_is_not_utf8_names_its_line(capsys, tmp_path, k3):
+    bad = tmp_path / "bad.lad"
+    bad.write_bytes(b"2\n\xff 1\n1 0\n")
+    code, out, err = run(capsys, "solve", str(bad), k3)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 2:")
+
+
 def test_solve_missing_file(capsys, k3):
     code, _, err = run(capsys, "solve", k3, "nope.lad")
     assert code == 1
