@@ -9,11 +9,15 @@ whose loop flag and adjacency to the assignment so far agree with its own;
 that changes nothing about which mappings are found, only how fast the
 hopeless ones are discarded.
 
-``brute_force_size`` finds the optimum. It tries the sizes upward and
-stops each at its first mapping, so it walks in full only the size past
-the optimum: a pair with millions of maximum mappings costs it one
-mapping of each size. ``brute_force_mcis`` takes the optimum from it and
-then enumerates the mappings of that size alone.
+``brute_force_size`` finds the optimum. It tries the sizes upward, and a
+subset only when every subset one vertex smaller has a mapping. It looks
+for a subset's mapping first among the extensions of those smaller ones'
+mappings, and walks the subset's injections only when none extends; each
+walk stops at its first mapping. So a pair with millions of maximum
+mappings costs it one mapping per subset, and the size past the optimum
+walks in full only the subsets whose smaller ones all map.
+``brute_force_mcis`` takes the optimum from it and then enumerates the
+mappings of that size alone.
 
 Intentionally restricted to tiny graphs (n <= 10 each side).
 """
@@ -66,19 +70,33 @@ def brute_force_mcis(g: Graph, h: Graph, witness_cap: int = DEFAULT_WITNESS_CAP)
 def brute_force_size(g: Graph, h: Graph) -> int:
     """Exact optimum alone, without counting the maximum mappings."""
     _check_pair(g, h)
-    # a mapping of size k restricts to one of every smaller size, so the
-    # optimum is the size below the first that has none
+    # a mapping restricts to every sub-mapping, so a k-subset has an image
+    # only when each of its (k-1)-subsets has one, and the optimum is the
+    # size below the first with no subset that has an image
+    images = {(): ()}
     for k in range(1, min(g.n, h.n) + 1):
-        if not any(_has_image(g, h, subset) for subset in combinations(range(g.n), k)):
+        smaller, images = images, {}
+        for subset in smaller:
+            for w in range(subset[-1] + 1 if subset else 0, g.n):
+                grown = subset + (w,)
+                if not all(grown[:i] + grown[i + 1 :] in smaller for i in range(k - 1)):
+                    continue
+                # most often the image of a subset one vertex smaller
+                # extends to the vertex it lacks
+                for i in range(k - 1, -1, -1):
+                    rest = grown[:i] + grown[i + 1 :]
+                    found = next(_consistent_images(g, h, rest + grown[i : i + 1], smaller[rest]), None)
+                    if found is not None:
+                        found = found[:i] + found[-1:] + found[i:-1]
+                        break
+                else:
+                    found = next(_consistent_images(g, h, grown), None)
+                if found is not None:
+                    assert is_isomorphism(g, h, tuple(zip(grown, found)))
+                    images[grown] = found
+        if not images:
             return k - 1
     return min(g.n, h.n)
-
-
-def _has_image(g: Graph, h: Graph, subset: tuple[int, ...]) -> bool:
-    for image in _consistent_images(g, h, subset):
-        assert is_isomorphism(g, h, tuple(zip(subset, image)))
-        return True
-    return False
 
 
 def _check_pair(g: Graph, h: Graph) -> None:
@@ -88,11 +106,12 @@ def _check_pair(g: Graph, h: Graph) -> None:
         raise ValueError("graphs must agree on directedness")
 
 
-def _consistent_images(g: Graph, h: Graph, subset: tuple[int, ...]):
-    """Yield every injective image of ``subset`` preserving edges and loops,
+def _consistent_images(g: Graph, h: Graph, subset: tuple[int, ...], head: tuple[int, ...] = ()):
+    """Yield every injective image of ``subset`` preserving edges and loops
+    that starts with ``head``, the image of as many of its first vertices,
     in increasing order of the images' vertex ids."""
     k = len(subset)
-    image: list[int] = []
+    image = list(head)
     looped = sum(1 << u for u in range(h.n) if h.loops[u])
     unlooped = (1 << h.n) - 1 ^ looped
 
@@ -116,4 +135,4 @@ def _consistent_images(g: Graph, h: Graph, subset: tuple[int, ...]):
             image.pop()
             cands ^= low
 
-    yield from extend(0, (1 << h.n) - 1)
+    yield from extend(len(head), (1 << h.n) - 1 ^ sum(1 << u for u in head))

@@ -14,11 +14,12 @@ That sum ignores the edges inside a bidomain. Pairs never leave their
 bidomain, and the pairs one bidomain gives induce isomorphic subgraphs of
 its two sides, so it gives at most the MCIS of those subgraphs. For
 undirected graphs on at most 4 vertices, the sorted degree sequence fixes
-the isomorphism class, 17 classes in all. So a bidomain of an undirected
-pair with 2-4 vertices on each side is capped by one lookup in a 17x17
-table of their MCIS sizes, and its loss, min(side sizes) less that cap,
-comes off the node's lead over the incumbent. The table is derived at
-import from every graph on 2-4 vertices and the subgraphs it induces, all
+the isomorphism class; on 5 vertices it does with the triangle count, 51
+classes on 2-5 vertices in all. So a bidomain of an undirected pair with
+2-5 vertices on each side is capped by one lookup in a 51x51 table of
+their MCIS sizes, and its loss, min(side sizes) less that cap, comes off
+the node's lead over the incumbent. The table is derived at import from
+one graph of each class on 2-5 vertices and the subgraphs it induces, all
 keyed by the scan's own key, so the two never disagree on a key. The
 losses are taken at each node the plain bound keeps and are not passed
 on: a child's bidomains are split anew, and the splits below rely on the
@@ -112,7 +113,6 @@ pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add, neg
 from time import perf_counter
 
@@ -131,50 +131,86 @@ CONFIG_NAMES = tuple(_CONFIG_RULES)
 # search nodes between two reads of the clock when a timeout is set
 _CHECK_INTERVAL = 1024
 
-# a side's key is the sum of 8 ** degree over its vertices; no degree
-# occurs more than 4 times, so the key spells out the degree sequence
-_EIGHT_POW = (1, 8, 64, 512)
+# a side's key is the sum of 8 ** degree over its vertices, plus its
+# triangle count << 15 on 5 vertices; no degree occurs more than 5 times,
+# so the sum spells out the degree sequence below bit 15, and at most 10
+# triangles keep the key below 1 << 20
+_EIGHT_POW = (1, 8, 64, 512, 4096)
 # side keys a search keeps per graph before it starts over
 _KEYS_KEPT = 4096
 
 
 def _side_key(bits: int, rows: list[int]) -> int:
-    """The key of the subgraph induced by the at most 4 vertices in ``bits``."""
+    """The key of the subgraph induced by the at most 5 vertices in ``bits``."""
     key = 0
+    five = bits.bit_count() == 5
     rest = bits
     while rest:
         low = rest & -rest
-        key += _EIGHT_POW[(rows[low.bit_length() - 1] & bits).bit_count()]
         rest ^= low
+        row = rows[low.bit_length() - 1] & bits
+        key += _EIGHT_POW[row.bit_count()]
+        if five:
+            # each triangle once, from its lowest vertex and its middle one
+            up = row & rest
+            while up:
+                mid = up & -up
+                up ^= mid
+                key += (rows[mid.bit_length() - 1] & up).bit_count() << 15
     return key
 
 
 def _small_losses() -> dict[int, int]:
-    """A small bidomain's loss, min(side sizes) - MCIS, by (G key << 12) | H key.
+    """A small bidomain's loss, min(side sizes) - MCIS, by (G key << 20) | H key.
 
-    Every undirected graph on 2-4 vertices is keyed by ``_side_key``, and so
-    is every nonempty subset of its vertices. On at most 4 vertices the
-    degree sequence fixes the isomorphism class, so two graphs' MCIS is the
-    largest subset size among the keys both induce.
+    One undirected graph of each class on 2-5 vertices is keyed by
+    ``_side_key``. Deleting a vertex leaves a graph of a smaller class, so
+    the classes on n vertices are found among those on n - 1 plus a vertex
+    joined to any subset of them, and the subgraphs a class induces are
+    itself and those its vertex deletions induce. The key fixes the class,
+    so two graphs' MCIS is the largest size among the keys both induce.
     """
-    # each graph's key: {the key of each subgraph it induces: its size}
-    induced = {}
-    for n in (2, 3, 4):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            rows = [0] * n
-            for i, (a, b) in enumerate(pairs):
-                if mask >> i & 1:
-                    rows[a] |= 1 << b
-                    rows[b] |= 1 << a
-            key = _side_key((1 << n) - 1, rows)
-            if key not in induced:
-                induced[key] = {_side_key(s, rows): s.bit_count() for s in range(1, 1 << n)}
-    return {
-        g_key << 12 | h_key: min(g_sub[g_key], h_sub[h_key]) - max(g_sub[k] for k in g_sub.keys() & h_sub.keys())
-        for g_key, g_sub in induced.items()
-        for h_key, h_sub in induced.items()
-    }
+    # each class's key: {the key of each subgraph it induces: its size};
+    # the one-vertex graph's key is 8 ** 0
+    induced = {1: {1: 1}}
+    classes = [[0]]
+    for n in (2, 3, 4, 5):
+        full = (1 << n) - 1
+        grown = {}
+        for rows in classes:
+            for mask in range(1 << (n - 1)):
+                new = [row | (mask >> i & 1) << (n - 1) for i, row in enumerate(rows)]
+                new.append(mask)
+                grown.setdefault(_side_key(full, new), new)
+        for key, rows in grown.items():
+            sub = induced[key] = {key: n}
+            for v in range(n):
+                sub.update(induced[_side_key(full ^ 1 << v, rows)])
+        classes = grown.values()
+    del induced[1]
+    # bit i of a key's holders: the i-th class induces a subgraph of that key
+    holders = {}
+    for i, sub in enumerate(induced.values()):
+        for key in sub:
+            holders[key] = holders.get(key, 0) | 1 << i
+    sizes = [(key, sub[key]) for key, sub in induced.items()]
+    losses = {}
+    for g_key, g_sub in induced.items():
+        n = g_sub[g_key]
+        reach = [0] * (n + 1)
+        for key, size in g_sub.items():
+            reach[size] |= holders[key]
+        # largest size first, so each class is first reached at its MCIS
+        seen = 0
+        for size in range(n, 0, -1):
+            new = reach[size] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                h_key, m = sizes[low.bit_length() - 1]
+                losses[g_key << 20 | h_key] = (n if n < m else m) - size
+    return losses
 
 
 _SMALL_LOSS = _small_losses()
@@ -438,13 +474,13 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             if k < best_k:
                 best_k = k
                 best_i = i
-            # the table holds undirected sides of 2-4 vertices
-            if k < 5 and gl > 1 and hl > 1 and not directed:
+            # the table holds undirected sides of 2-5 vertices
+            if k < 6 and gl > 1 and hl > 1 and not directed:
                 g_key = g_keys.get(gb)
                 if g_key is None:
                     if len(g_keys) == _KEYS_KEPT:
                         g_keys.clear()
-                    g_key = g_keys[gb] = _side_key(gb, g_out) << 12
+                    g_key = g_keys[gb] = _side_key(gb, g_out) << 20
                 h_key = h_keys.get(hb)
                 if h_key is None:
                     if len(h_keys) == _KEYS_KEPT:

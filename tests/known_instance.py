@@ -39,7 +39,7 @@ G_CLASSES = [("negative", (4, 5)), ("negative", (7, 9))]
 H_CLASSES = [("positive", (3, 4))]
 
 # branch counts of the fixed deterministic search, one per rule configuration
-BRANCHES = {"none": 201, "var": 201, "val": 157, "dual": 157}
+BRANCHES = {"none": 101, "var": 101, "val": 78, "dual": 78}
 
 
 def graph_g() -> Graph:

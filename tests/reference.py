@@ -96,7 +96,7 @@ def small_bidomain_bound(
     Pairs never leave their bidomain, and those one bidomain gives induce
     isomorphic subgraphs of its two sides, so it gives at most the MCIS of
     the subgraphs its sides induce. For undirected graphs, a bidomain with
-    2-4 vertices a side counts that MCIS, found by brute force, in place
+    2-5 vertices a side counts that MCIS, found by brute force, in place
     of min(side sizes). ``caps`` keeps the MCIS of sides already seen, by
     their vertex tuples, for calls on the same g and h.
     """
@@ -104,7 +104,7 @@ def small_bidomain_bound(
     if g.directed:
         return bound
     for bd in partition:
-        if 2 <= len(bd.gs) <= 4 and 2 <= len(bd.hs) <= 4:
+        if 2 <= len(bd.gs) <= 5 and 2 <= len(bd.hs) <= 5:
             sides = (tuple(bd.gs), tuple(bd.hs))
             if sides not in caps:
                 caps[sides] = brute_force_size(induced_subgraph(g, bd.gs), induced_subgraph(h, bd.hs))

@@ -93,49 +93,67 @@ def test_upper_bound_ignores_unmatched_pairs():
     assert upper_bound([(0, None), (1, 2)], []) == 1
 
 
-def _labelled_small_graphs():
-    """Every undirected graph without loops on vertices 0..n-1, n = 2..4."""
-    for n in (2, 3, 4):
+def _small_classes():
+    """Every undirected graph without loops on vertices 0..n-1, n = 2..5,
+    by its canonical form: the least edge mask over all relabellings."""
+    classes = {}
+    for n in (2, 3, 4, 5):
         pairs = list(itertools.combinations(range(n), 2))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        # each relabelling as the new index of each pair
+        perms = [[index[tuple(sorted((p[a], p[b])))] for a, b in pairs] for p in itertools.permutations(range(n))]
         for mask in range(1 << len(pairs)):
-            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            edges = [i for i in range(len(pairs)) if mask >> i & 1]
+            canon = min(sum(1 << perm[i] for i in edges) for perm in perms)
+            classes.setdefault((n, canon), []).append(Graph(n, [pairs[i] for i in edges]))
+    return classes
 
 
 def test_small_loss_table_matches_brute_force():
-    graphs = list(_labelled_small_graphs())
-    assert len(graphs) == 2 + 8 + 64
-    keys = [_side_key((1 << g.n) - 1, g.out_bits) for g in graphs]
-    # the 17 isomorphism classes on 2-4 vertices, and one entry per pair
-    g_keys = {key >> 12 for key in _SMALL_LOSS}
-    assert len(g_keys) == 17 and len(_SMALL_LOSS) == 17 * 17
-    assert set(keys) == g_keys
-    for g, g_key in zip(graphs, keys):
-        for h, h_key in zip(graphs, keys):
+    classes = _small_classes()
+    # 2, 4, 11 and 34 isomorphism classes on 2, 3, 4 and 5 vertices
+    assert len(classes) == 51 and sum(map(len, classes.values())) == 2 + 8 + 64 + 1024
+    keys = {}
+    for graphs in classes.values():
+        # one key per class, which no other class shares
+        (key,) = {_side_key((1 << g.n) - 1, g.out_bits) for g in graphs}
+        assert key not in keys
+        keys[key] = graphs[0]
+    # one entry per pair of classes
+    assert {key >> 20 for key in _SMALL_LOSS} == keys.keys() and len(_SMALL_LOSS) == 51 * 51
+    for g_key, g in keys.items():
+        for h_key, h in keys.items():
             loss = min(g.n, h.n) - brute_force_size(g, h)
-            assert _SMALL_LOSS[g_key << 12 | h_key] == loss, (g, h)
+            assert _SMALL_LOSS[g_key << 20 | h_key] == loss, (g, h)
 
 
 def test_small_bidomain_bound_is_sound(corpus):
     # over complete unpruned trees of the small undirected pairs: the bound
     # never falls below the best full mapping under a node, nor rises above
-    # the sum of min sides, and it is the lower of the two at some nodes
+    # the sum of min sides, and it is the lower of the two at some nodes,
+    # some of them by a bidomain with 5 vertices on a side
     small = [p for p in corpus if not p.directed and p.g.n <= 6 and p.h.n <= 6]
-    tighter = 0
+    tighter = tighter_by_five = 0
     for pair in small:
         caps = {}
 
         def bound(mapping, partition, pair=pair, caps=caps):
-            nonlocal tighter
+            nonlocal tighter, tighter_by_five
             ub = small_bidomain_bound(mapping, partition, pair.g, pair.h, caps)
             assert ub <= upper_bound(mapping, partition), pair.index
             tighter += ub < upper_bound(mapping, partition)
+            tighter_by_five += any(
+                caps.get((tuple(bd.gs), tuple(bd.hs)), 5) < min(len(bd.gs), len(bd.hs))
+                for bd in partition
+                if max(len(bd.gs), len(bd.hs)) == 5
+            )
             return ub
 
         def on_node(mapping, ub, parent_ub, subtree_best, pair=pair):
             assert ub >= subtree_best, (pair.index, mapping)
 
         enumerate_tree(pair.g, pair.h, on_node=on_node, bound=bound)
-    assert len(small) > 100 and tighter > 0
+    assert len(small) > 100 and tighter >= tighter_by_five > 0
 
 
 # -- selection heuristics ----------------------------------------------------
