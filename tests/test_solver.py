@@ -143,9 +143,9 @@ def test_small_bidomain_bound_is_sound(corpus):
             assert ub <= upper_bound(mapping, partition), pair.index
             tighter += ub < upper_bound(mapping, partition)
             tighter_by_five += any(
-                caps.get((tuple(bd.gs), tuple(bd.hs)), 5) < min(len(bd.gs), len(bd.hs))
+                caps[tuple(bd.gs), tuple(bd.hs)] < min(len(bd.gs), len(bd.hs))
                 for bd in partition
-                if max(len(bd.gs), len(bd.hs)) == 5
+                if max(len(bd.gs), len(bd.hs)) == 5 and min(len(bd.gs), len(bd.hs)) > 1
             )
             return ub
 
