@@ -14,19 +14,21 @@ That sum ignores the edges inside a bidomain. Pairs never leave their
 bidomain, and the pairs one bidomain gives induce isomorphic subgraphs of
 its two sides, so it gives at most the MCIS of those subgraphs. For
 undirected graphs on at most 4 vertices, the sorted degree sequence fixes
-the isomorphism class; on 5 vertices it does with the triangle count, 51
-classes on 2-5 vertices in all. So a bidomain of an undirected pair with
-2-5 vertices on each side is capped by one lookup in a 51x51 table of
-their MCIS sizes, and its loss, min(side sizes) less that cap, comes off
-the node's lead over the incumbent. The table is derived at import from
-one graph of each class on 2-5 vertices and the subgraphs it induces, all
-keyed by the scan's own key, so the two never disagree on a key. The
-losses are taken at each node the plain bound keeps and are not passed
-on: a child's bidomains are split anew, and the splits below rely on the
-plain sum, which alone never grows from parent to child. A side's table
-key is kept by its bits, since most small sides recur at many nodes; a
-search keeps at most ``_KEYS_KEPT`` keys per graph and starts over when
-full.
+the isomorphism class; on 5 and 6 vertices it does with the triangle count
+and the sum over edges of the product of their ends' degrees, 207 classes
+on 2-6 vertices in all. So a bidomain of an undirected pair with 2-6
+vertices on each side is capped by one lookup in a 207x207 table of their
+MCIS sizes, and its loss, min(side sizes) less that cap, comes off the
+node's lead over the incumbent. The table is derived at import from one
+graph of each class on 2-6 vertices and the subgraphs it induces, all
+keyed by the scan's own key, so the two never disagree on a key; it is one
+byte string of losses, a row per G class, and a dict from key to class
+index. The losses are taken at each node the plain bound keeps and are not
+passed on: a child's bidomains are split anew, and the splits below rely
+on the plain sum, which alone never grows from parent to child. A side's
+place in the table is kept by its bits, since most small sides recur at
+many nodes; a search keeps at most ``_KEYS_KEPT`` of them per graph and
+starts over when full.
 
 Two optional pruning rules exploit interchangeable vertices (see
 :mod:`mcis.symmetry`):
@@ -131,39 +133,44 @@ CONFIG_NAMES = tuple(_CONFIG_RULES)
 # search nodes between two reads of the clock when a timeout is set
 _CHECK_INTERVAL = 1024
 
-# a side's key is the sum of 8 ** degree over its vertices, plus its
-# triangle count << 15 on 5 vertices; no degree occurs more than 5 times,
-# so the sum spells out the degree sequence below bit 15, and at most 10
-# triangles keep the key below 1 << 20
-_EIGHT_POW = (1, 8, 64, 512, 4096)
-# side keys a search keeps per graph before it starts over
+# a side's key is the sum of 8 ** degree over its vertices; no degree occurs
+# more than 6 times, so the sum spells out the degree sequence below bit 18.
+# On 5 and 6 vertices it adds the triangle count << 18, at most 20, and the
+# sum over edges of deg(a) * deg(b) << 23, at most 375, so every key lies
+# below 1 << 32
+_EIGHT_POW = (1, 8, 64, 512, 4096, 32768)
+# small sides whose table place a search keeps per graph before it starts over
 _KEYS_KEPT = 4096
 
 
 def _side_key(bits: int, rows: list[int]) -> int:
-    """The key of the subgraph induced by the at most 5 vertices in ``bits``."""
+    """The key of the subgraph induced by the at most 6 vertices in ``bits``."""
     key = 0
-    five = bits.bit_count() == 5
+    big = bits.bit_count() > 4
     rest = bits
     while rest:
         low = rest & -rest
         rest ^= low
         row = rows[low.bit_length() - 1] & bits
-        key += _EIGHT_POW[row.bit_count()]
-        if five:
-            # each triangle once, from its lowest vertex and its middle one
+        d = row.bit_count()
+        key += _EIGHT_POW[d]
+        if big:
+            # each edge once, from its lower end, and each triangle once,
+            # from its lowest vertex and its middle one
             up = row & rest
             while up:
                 mid = up & -up
                 up ^= mid
-                key += (rows[mid.bit_length() - 1] & up).bit_count() << 15
+                mid_row = rows[mid.bit_length() - 1]
+                key += ((mid_row & up).bit_count() << 18) + (d * (mid_row & bits).bit_count() << 23)
     return key
 
 
-def _small_losses() -> dict[int, int]:
-    """A small bidomain's loss, min(side sizes) - MCIS, by (G key << 20) | H key.
+def _small_losses() -> tuple[dict[int, int], bytes]:
+    """Each class's index by its key, and a small bidomain's loss, min(side
+    sizes) - MCIS, at G's index times the class count plus H's.
 
-    One undirected graph of each class on 2-5 vertices is keyed by
+    One undirected graph of each class on 2-6 vertices is keyed by
     ``_side_key``. Deleting a vertex leaves a graph of a smaller class, so
     the classes on n vertices are found among those on n - 1 plus a vertex
     joined to any subset of them, and the subgraphs a class induces are
@@ -174,7 +181,7 @@ def _small_losses() -> dict[int, int]:
     # the one-vertex graph's key is 8 ** 0
     induced = {1: {1: 1}}
     classes = [[0]]
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         full = (1 << n) - 1
         grown = {}
         for rows in classes:
@@ -188,14 +195,16 @@ def _small_losses() -> dict[int, int]:
                 sub.update(induced[_side_key(full ^ 1 << v, rows)])
         classes = grown.values()
     del induced[1]
+    index = {key: i for i, key in enumerate(induced)}
+    width = len(index)
     # bit i of a key's holders: the i-th class induces a subgraph of that key
     holders = {}
     for i, sub in enumerate(induced.values()):
         for key in sub:
             holders[key] = holders.get(key, 0) | 1 << i
-    sizes = [(key, sub[key]) for key, sub in induced.items()]
-    losses = {}
-    for g_key, g_sub in induced.items():
+    sizes = [sub[key] for key, sub in induced.items()]
+    losses = bytearray(width * width)
+    for at, (g_key, g_sub) in zip(range(0, width * width, width), induced.items()):
         n = g_sub[g_key]
         reach = [0] * (n + 1)
         for key, size in g_sub.items():
@@ -208,12 +217,15 @@ def _small_losses() -> dict[int, int]:
             while new:
                 low = new & -new
                 new ^= low
-                h_key, m = sizes[low.bit_length() - 1]
-                losses[g_key << 20 | h_key] = (n if n < m else m) - size
-    return losses
+                j = low.bit_length() - 1
+                m = sizes[j]
+                losses[at + j] = (n if n < m else m) - size
+    return index, bytes(losses)
 
 
-_SMALL_LOSS = _small_losses()
+# a small side's table index by its key, and the loss table, one row per G class
+_SMALL_INDEX, _SMALL_LOSS = _small_losses()
+_SMALL_WIDTH = len(_SMALL_INDEX)
 
 
 @dataclass
@@ -389,7 +401,9 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         mask = sum(1 << g_new[w] for w in members)
         for w in members:
             g_twins[g_new[w]] = mask ^ 1 << g_new[w]
-    # each small side's key, by its bits; most sides recur at many nodes
+    # each small side's place in the table by its bits, a G side's as the
+    # offset of its row, an H side's as its column; most sides recur at
+    # many nodes
     g_keys: dict[int, int] = {}
     h_keys: dict[int, int] = {}
     use_var, use_val = _CONFIG_RULES[config.name]
@@ -474,20 +488,20 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             if k < best_k:
                 best_k = k
                 best_i = i
-            # the table holds undirected sides of 2-5 vertices
-            if k < 6 and gl > 1 and hl > 1 and not directed:
-                g_key = g_keys.get(gb)
-                if g_key is None:
+            # the table holds undirected sides of 2-6 vertices
+            if k < 7 and gl > 1 and hl > 1 and not directed:
+                g_at = g_keys.get(gb)
+                if g_at is None:
                     if len(g_keys) == _KEYS_KEPT:
                         g_keys.clear()
-                    g_key = g_keys[gb] = _side_key(gb, g_out) << 20
-                h_key = h_keys.get(hb)
-                if h_key is None:
+                    g_at = g_keys[gb] = _SMALL_INDEX[_side_key(gb, g_out)] * _SMALL_WIDTH
+                h_at = h_keys.get(hb)
+                if h_at is None:
                     if len(h_keys) == _KEYS_KEPT:
                         h_keys.clear()
                     # on H's own rows, since most are not relabelled
-                    h_key = h_keys[hb] = _side_key(_relabel_row(hb, h_ids), h_rows[0])
-                lead -= _SMALL_LOSS[g_key | h_key]
+                    h_at = h_keys[hb] = _SMALL_INDEX[_side_key(_relabel_row(hb, h_ids), h_rows[0])]
+                lead -= _SMALL_LOSS[g_at + h_at]
                 if lead <= 0:
                     break
         if lead <= 0:

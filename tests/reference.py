@@ -33,6 +33,11 @@ convert and check each token on its own and build the Graph from an edge
 list, as the package's parsers did before they read in bulk. The tests hold
 those to them, graph for graph and error line for error line.
 
+Isomorphism classes: ``canonical_form`` names an undirected graph's class
+by the least edge mask over relabellings, and ``graph_classes`` grows one
+graph of each class on up to n vertices. They never read ``_side_key``, so
+the tests and ``tools/sweep.py`` hold the small-bidomain table to them.
+
 Test-only helpers: ``degree``, ``neighbors``, ``in_neighbors``,
 ``edge_list``, ``has_loops``, ``are_symmetric``, ``kind_of``, ``to_lad``,
 ``to_edgelist`` and ``induced_subgraph`` build inputs and state
@@ -41,6 +46,7 @@ expectations; the package does not use them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -96,7 +102,7 @@ def small_bidomain_bound(
     Pairs never leave their bidomain, and those one bidomain gives induce
     isomorphic subgraphs of its two sides, so it gives at most the MCIS of
     the subgraphs its sides induce. For undirected graphs, a bidomain with
-    2-5 vertices a side counts that MCIS, found by brute force, in place
+    2-6 vertices a side counts that MCIS, found by brute force, in place
     of min(side sizes). ``caps`` keeps the MCIS of sides already seen, by
     their vertex tuples, for calls on the same g and h.
     """
@@ -104,7 +110,7 @@ def small_bidomain_bound(
     if g.directed:
         return bound
     for bd in partition:
-        if 2 <= len(bd.gs) <= 5 and 2 <= len(bd.hs) <= 5:
+        if 2 <= len(bd.gs) <= 6 and 2 <= len(bd.hs) <= 6:
             sides = (tuple(bd.gs), tuple(bd.hs))
             if sides not in caps:
                 caps[sides] = brute_force_size(induced_subgraph(g, bd.gs), induced_subgraph(h, bd.hs))
@@ -572,6 +578,55 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
                 edges.append((index[v], index[w]))
     names = [g.display_name(v) for v in vs] if g.names is not None else None
     return Graph(len(vs), edges, directed=g.directed, names=names)
+
+
+# -- isomorphism classes -----------------------------------------------------
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(n, the least edge mask of g over every relabelling that lists its
+    vertices by degree, largest first), for an undirected g without loops.
+
+    Bit i * n + j of a mask is the edge (i, j), i < j. Degrees are the same
+    in isomorphic graphs, so they relabel alike and share the form, and two
+    graphs with one form are both isomorphic to the graph that mask spells.
+    """
+    n = g.n
+    edges = edge_list(g)
+    deg = [degree(g, v) for v in range(n)]
+    groups = [[v for v in range(n) if deg[v] == d] for d in sorted(set(deg), reverse=True)]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, groups)):
+        pos = [0] * n
+        for i, v in enumerate(itertools.chain.from_iterable(parts)):
+            pos[v] = i
+        mask = 0
+        for a, b in edges:
+            a, b = sorted((pos[a], pos[b]))
+            mask |= 1 << (a * n + b)
+        if best is None or mask < best:
+            best = mask
+    return n, best
+
+
+def graph_classes(max_n: int) -> dict[int, list[Graph]]:
+    """One undirected graph without loops of each isomorphism class, by
+    vertex count from 1 to ``max_n``.
+
+    Deleting the last vertex of a graph on n vertices leaves a graph on n - 1
+    isomorphic to some class's, so the classes on n are found among those on
+    n - 1 plus a vertex joined to any subset of them.
+    """
+    classes = {1: [Graph(1, [])]}
+    for n in range(2, max_n + 1):
+        grown = {}
+        for g in classes[n - 1]:
+            edges = edge_list(g)
+            for mask in range(1 << (n - 1)):
+                new = Graph(n, edges + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
+                grown.setdefault(canonical_form(new), new)
+        classes[n] = list(grown.values())
+    return classes
 
 
 # -- line-by-line parsers ----------------------------------------------------

@@ -19,13 +19,15 @@ from mcis import (
     solve,
 )
 from mcis.oracle import brute_force_size
-from mcis.solver import _SMALL_LOSS, _degrees, _side_key, _split, _value_order
+from mcis.solver import _SMALL_INDEX, _SMALL_LOSS, _SMALL_WIDTH, _degrees, _side_key, _split, _value_order
 from reference import (
     Bidomain,
     arc_count,
+    canonical_form,
     complement,
     degree,
     enumerate_tree,
+    graph_classes,
     induced_subgraph,
     initial_partition,
     order_values,
@@ -93,67 +95,83 @@ def test_upper_bound_ignores_unmatched_pairs():
     assert upper_bound([(0, None), (1, 2)], []) == 1
 
 
-def _small_classes():
-    """Every undirected graph without loops on vertices 0..n-1, n = 2..5,
-    by its canonical form: the least edge mask over all relabellings."""
-    classes = {}
-    for n in (2, 3, 4, 5):
-        pairs = list(itertools.combinations(range(n), 2))
-        index = {pair: i for i, pair in enumerate(pairs)}
-        # each relabelling as the new index of each pair
-        perms = [[index[tuple(sorted((p[a], p[b])))] for a, b in pairs] for p in itertools.permutations(range(n))]
-        for mask in range(1 << len(pairs)):
-            edges = [i for i in range(len(pairs)) if mask >> i & 1]
-            canon = min(sum(1 << perm[i] for i in edges) for perm in perms)
-            classes.setdefault((n, canon), []).append(Graph(n, [pairs[i] for i in edges]))
-    return classes
+def _induced_forms(g):
+    """The canonical form of every subgraph g induces on a nonempty vertex set."""
+    return {
+        canonical_form(induced_subgraph(g, vs))
+        for size in range(1, g.n + 1)
+        for vs in itertools.combinations(range(g.n), size)
+    }
 
 
 def test_small_loss_table_matches_brute_force():
-    classes = _small_classes()
-    # 2, 4, 11 and 34 isomorphism classes on 2, 3, 4 and 5 vertices
-    assert len(classes) == 51 and sum(map(len, classes.values())) == 2 + 8 + 64 + 1024
+    classes = graph_classes(6)
+    assert [len(classes[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
     keys = {}
-    for graphs in classes.values():
-        # one key per class, which no other class shares
-        (key,) = {_side_key((1 << g.n) - 1, g.out_bits) for g in graphs}
-        assert key not in keys
-        keys[key] = graphs[0]
-    # one entry per pair of classes
-    assert {key >> 20 for key in _SMALL_LOSS} == keys.keys() and len(_SMALL_LOSS) == 51 * 51
+    for n in range(2, 7):
+        edges = list(itertools.combinations(range(n), 2))
+        for g in classes[n]:
+            # each relabelling of the class's graph, so each graph of the
+            # class, has one key
+            found = set()
+            for perm in itertools.permutations(range(n)):
+                rows = [0] * n
+                for a, b in edges:
+                    if g.out_bits[a] >> b & 1:
+                        rows[perm[a]] |= 1 << perm[b]
+                        rows[perm[b]] |= 1 << perm[a]
+                found.add(_side_key((1 << n) - 1, rows))
+            (key,) = found
+            keys[key] = g
+    # no two of the 207 classes share a key, and the table has a row and a
+    # column for each
+    assert len(keys) == 207 and _SMALL_INDEX.keys() == keys.keys() and len(_SMALL_LOSS) == 207 * 207
+    # each entry against the MCIS the classes' induced subgraphs give
+    forms = {key: _induced_forms(g) for key, g in keys.items()}
+    mcis = {}
     for g_key, g in keys.items():
         for h_key, h in keys.items():
-            loss = min(g.n, h.n) - brute_force_size(g, h)
-            assert _SMALL_LOSS[g_key << 20 | h_key] == loss, (g, h)
+            size = mcis[g_key, h_key] = max(n for n, _ in forms[g_key] & forms[h_key])
+            loss = _SMALL_LOSS[_SMALL_INDEX[g_key] * _SMALL_WIDTH + _SMALL_INDEX[h_key]]
+            assert loss == min(g.n, h.n) - size, (g, h)
+    # and that MCIS against brute force on every pair of 2-5 vertices and a
+    # seeded sample of the pairs with a side of 6
+    small = [(g_key, h_key) for g_key, h_key in mcis if keys[g_key].n < 6 and keys[h_key].n < 6]
+    six = sorted(mcis.keys() - set(small))
+    for g_key, h_key in small + random.Random(26).sample(six, 300):
+        assert mcis[g_key, h_key] == brute_force_size(keys[g_key], keys[h_key]), (keys[g_key], keys[h_key])
 
 
 def test_small_bidomain_bound_is_sound(corpus):
     # over complete unpruned trees of the small undirected pairs: the bound
     # never falls below the best full mapping under a node, nor rises above
     # the sum of min sides, and it is the lower of the two at some nodes,
-    # some of them by a bidomain with 5 vertices on a side
+    # some of them by a bidomain with 5 vertices on a side, and some by one
+    # with 6
     small = [p for p in corpus if not p.directed and p.g.n <= 6 and p.h.n <= 6]
-    tighter = tighter_by_five = 0
+    tighter = 0
+    tighter_by = {5: 0, 6: 0}
     for pair in small:
         caps = {}
 
         def bound(mapping, partition, pair=pair, caps=caps):
-            nonlocal tighter, tighter_by_five
+            nonlocal tighter
             ub = small_bidomain_bound(mapping, partition, pair.g, pair.h, caps)
             assert ub <= upper_bound(mapping, partition), pair.index
             tighter += ub < upper_bound(mapping, partition)
-            tighter_by_five += any(
-                caps[tuple(bd.gs), tuple(bd.hs)] < min(len(bd.gs), len(bd.hs))
-                for bd in partition
-                if max(len(bd.gs), len(bd.hs)) == 5 and min(len(bd.gs), len(bd.hs)) > 1
-            )
+            for k in tighter_by:
+                tighter_by[k] += any(
+                    caps[tuple(bd.gs), tuple(bd.hs)] < min(len(bd.gs), len(bd.hs))
+                    for bd in partition
+                    if max(len(bd.gs), len(bd.hs)) == k and min(len(bd.gs), len(bd.hs)) > 1
+                )
             return ub
 
         def on_node(mapping, ub, parent_ub, subtree_best, pair=pair):
             assert ub >= subtree_best, (pair.index, mapping)
 
         enumerate_tree(pair.g, pair.h, on_node=on_node, bound=bound)
-    assert len(small) > 100 and tighter >= tighter_by_five > 0
+    assert len(small) > 100 and tighter >= max(tighter_by.values()) and min(tighter_by.values()) > 0
 
 
 # -- selection heuristics ----------------------------------------------------
@@ -429,17 +447,19 @@ def test_solve_rejects_empty_and_mismatched():
         solve(Graph(1, directed=True), Graph(1))
 
 
-# a triangle and a K4 sharing vertex 3, plus an isolated vertex, against
-# the star K1,4: G has twin classes {1, 2} and {4, 5, 6}, H the four leaves
+# a triangle and a K4 sharing vertex 3, plus two isolated vertices, against
+# the star K1,5: G has twin classes {0, 7}, {1, 2} and {4, 5, 6}, H the five
+# leaves; against K1,4 with one isolated vertex in G, bidomains of up to 6
+# vertices a side are capped so early that the var rule never fires
 TWIN_G_EDGES = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
-TWIN_H_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4)]
+TWIN_H_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
 
 
 def test_stats_gated_by_config():
     # each config counts only its own rules on both pairs; the rules fire
     # on the twin pair, since on the known one the small-bidomain bound
     # leaves the var rule nothing to skip
-    for g, h in ((graph_g(), graph_h()), (Graph(7, TWIN_G_EDGES), Graph(5, TWIN_H_EDGES))):
+    for g, h in ((graph_g(), graph_h()), (Graph(8, TWIN_G_EDGES), Graph(6, TWIN_H_EDGES))):
         st_none = solve(g, h, SolverConfig("none")).stats
         assert st_none.var_sym_prunes == 0 and st_none.val_sym_prunes == 0
         st_var = solve(g, h, SolverConfig("var")).stats
