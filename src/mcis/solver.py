@@ -176,6 +176,7 @@ def _small_losses() -> tuple[dict[int, int], bytes]:
     joined to any subset of them, and the subgraphs a class induces are
     itself and those its vertex deletions induce. The key fixes the class,
     so two graphs' MCIS is the largest size among the keys both induce.
+    Each entry is below 7, so a row is filled as the hex digits of one int.
     """
     # each class's key: {the key of each subgraph it induces: its size};
     # the one-vertex graph's key is 8 ** 0
@@ -202,25 +203,25 @@ def _small_losses() -> tuple[dict[int, int], bytes]:
     for i, sub in enumerate(induced.values()):
         for key in sub:
             holders[key] = holders.get(key, 0) | 1 << i
+    # a G class's row is one int whose hex digit j is its entry for class
+    # j, starting at min(n, class j's size) for a G class on n vertices
     sizes = [sub[key] for key, sub in induced.items()]
-    losses = bytearray(width * width)
-    for at, (g_key, g_sub) in zip(range(0, width * width, width), induced.items()):
+    mins = [int("".join(str(min(n, m)) for m in reversed(sizes)), 16) for n in range(7)]
+    table = []
+    for g_key, g_sub in induced.items():
         n = g_sub[g_key]
+        # bit j of reach[s]: class j and G induce a common subgraph on s
+        # vertices, so one on each smaller size too, and their MCIS is the
+        # number of sizes that reach j; a mask read in hex has a 1 in digit
+        # j for each bit j
         reach = [0] * (n + 1)
         for key, size in g_sub.items():
             reach[size] |= holders[key]
-        # largest size first, so each class is first reached at its MCIS
-        seen = 0
-        for size in range(n, 0, -1):
-            new = reach[size] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                new ^= low
-                j = low.bit_length() - 1
-                m = sizes[j]
-                losses[at + j] = (n if n < m else m) - size
-    return index, bytes(losses)
+        row = mins[n]
+        for mask in reach:
+            row -= int(f"{mask:b}", 16)
+        table.append(f"{row:0{width}x}"[::-1])
+    return index, "".join(table).encode().translate(bytes.maketrans(b"0123456", bytes(range(7))))
 
 
 # a small side's table index by its key, and the loss table, one row per G class

@@ -16,9 +16,13 @@ every configuration:
 
 A run passes when its size equals ``mcis.oracle.brute_force_size`` of the
 pair, which shares no code with the search, and its mapping is an induced
-isomorphism of that size. The first pair that fails is printed as its two
-edge lists, with each failing configuration, and the exit code is 1. Else
-one line per sweep gives its pair count and seconds, and the exit code is 0.
+isomorphism of that size. A pair with 2-6 vertices a side must also find
+that size in the solver's small-bidomain table: a 6-vertex side here is a
+whole graph, so it caps a root only, where a cap one too low prunes only
+if the MCIS is 1, and the runs alone would pass such an entry. The first
+pair that fails is printed as its two edge lists, with each failing
+configuration, and the exit code is 1. Else one line per sweep gives its
+pair count and seconds, and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from mcis import CONFIG_NAMES, Graph, SolverConfig, is_isomorphism, solve  # noqa: E402
 from mcis.oracle import brute_force_size  # noqa: E402
+from mcis.solver import _SMALL_INDEX, _SMALL_LOSS, _SMALL_WIDTH, _side_key  # noqa: E402
 from reference import edge_list, graph_classes  # noqa: E402
 
 
@@ -46,9 +51,15 @@ def labelled_graphs(n: int) -> list[Graph]:
 
 
 def failures(g: Graph, h: Graph) -> list[str]:
-    """Each configuration whose run on (g, h) is wrong, with what it found."""
+    """Each configuration whose run on (g, h) is wrong, with what it found,
+    and the small-bidomain table if its cap for (g, h) is wrong."""
     size = brute_force_size(g, h)
     wrong = []
+    if 1 < g.n < 7 and 1 < h.n < 7:
+        g_at = _SMALL_INDEX[_side_key((1 << g.n) - 1, g.out_bits)] * _SMALL_WIDTH
+        cap = min(g.n, h.n) - _SMALL_LOSS[g_at + _SMALL_INDEX[_side_key((1 << h.n) - 1, h.out_bits)]]
+        if cap != size:
+            wrong.append(f"table: cap {cap}, brute force {size}")
     for name in CONFIG_NAMES:
         sol = solve(g, h, SolverConfig(name))
         found = sol.stats.incumbent_size
@@ -71,7 +82,7 @@ def sweep(label: str, pairs) -> bool:
                 print(f"  {line}")
             return False
         count += 1
-    print(f"{label}: {count} pairs, all configs equal brute force ({perf_counter() - start:.1f} s)")
+    print(f"{label}: {count} pairs, all configs and table caps equal brute force ({perf_counter() - start:.1f} s)")
     return True
 
 
