@@ -56,8 +56,8 @@ def failures(g: Graph, h: Graph) -> list[str]:
     size = brute_force_size(g, h)
     wrong = []
     if 1 < g.n < 7 and 1 < h.n < 7:
-        g_at = _SMALL_INDEX[_side_key((1 << g.n) - 1, g.out_bits)] * _SMALL_WIDTH
-        cap = min(g.n, h.n) - _SMALL_LOSS[g_at + _SMALL_INDEX[_side_key((1 << h.n) - 1, h.out_bits)]]
+        g_at, h_at = (_SMALL_INDEX[_side_key((1 << x.n) - 1, x.out_bits)] for x in (g, h))
+        cap = min(g.n, h.n) - _SMALL_LOSS[g_at * _SMALL_WIDTH + h_at]
         if cap != size:
             wrong.append(f"table: cap {cap}, brute force {size}")
     for name in CONFIG_NAMES:
