@@ -15,20 +15,23 @@ bidomain, and the pairs one bidomain gives induce isomorphic subgraphs of
 its two sides, so it gives at most the MCIS of those subgraphs. For
 undirected graphs on at most 4 vertices, the sorted degree sequence fixes
 the isomorphism class; on 5 and 6 vertices it does with the triangle count
-and the sum over edges of the product of their ends' degrees, 207 classes
-on 2-6 vertices in all. So a bidomain of an undirected pair with 2-6
-vertices on each side is capped by one lookup in a 207x207 table of their
-MCIS sizes, and its loss, min(side sizes) less that cap, comes off the
-node's lead over the incumbent. The table is derived at import from one
-graph of each class on 2-6 vertices and the subgraphs it induces, all
-keyed by the scan's own key, so the two never disagree on a key; it is one
-byte string of losses, a row per G class, and a dict from key to class
-index. The losses are taken at each node the plain bound keeps and are not
+and the sum over edges of the product of their ends' degrees, and on 7
+with the triangle count and two sums over the vertices of the squared sum
+of their neighbours' degrees, one of them weighted by degree: 1,251
+classes on 2-7 vertices in all. Each class has an index, ascending with
+its size, and a mask with a bit for each class it induces. So the MCIS of
+two classes is the size of the class at the top bit of their masks' AND,
+and a bidomain of an undirected pair with 2-7 vertices on each side is
+capped by one AND of its sides' masks. Its loss, min(side sizes) less that cap,
+comes off the node's lead over the incumbent. The masks are derived at
+import from one graph of each class on 1-7 vertices and its one-vertex
+deletions, all keyed by the scan's own key, so the two never disagree on a
+key. The losses are taken at each node the plain bound keeps and are not
 passed on: a child's bidomains are split anew, and the splits below rely
 on the plain sum, which alone never grows from parent to child. A side's
-place in the table is kept by its bits, since most small sides recur at
-many nodes; a search keeps at most ``_KEYS_KEPT`` of them per graph and
-starts over when full.
+mask is kept by its bits, since most small sides recur at many nodes; a
+search keeps at most ``_KEYS_KEPT`` of them per graph and starts over when
+full.
 
 Two optional pruning rules exploit interchangeable vertices (see
 :mod:`mcis.symmetry`):
@@ -134,20 +137,52 @@ CONFIG_NAMES = tuple(_CONFIG_RULES)
 _CHECK_INTERVAL = 1024
 
 # a side's key is the sum of 8 ** degree over its vertices; no degree occurs
-# more than 6 times, so the sum spells out the degree sequence below bit 18.
-# On 5 and 6 vertices it adds the triangle count << 18, at most 20, and the
-# sum over edges of deg(a) * deg(b) << 23, at most 375, so every key lies
-# below 1 << 32
-_EIGHT_POW = (1, 8, 64, 512, 4096, 32768)
-# small sides whose table place a search keeps per graph before it starts over
+# more than 7 times, so the sum spells out the degree sequence below bit 21.
+# On 5 and 6 vertices it adds the triangle count << 21, at most 20, and the
+# sum over edges of deg(a) * deg(b) << 26, at most 375. On 7 vertices it adds
+# the triangle count << 21, at most 35, and over the vertices the sum of s * s
+# << 27, at most 9,072, and of deg * s * s << 41, at most 54,432, where s is
+# the sum of a vertex's neighbours' degrees; so every key lies below 1 << 57
+_EIGHT_POW = (1, 8, 64, 512, 4096, 32768, 262144)
+# small sides whose class mask a search keeps per graph before it starts over
 _KEYS_KEPT = 4096
 
 
 def _side_key(bits: int, rows: list[int]) -> int:
-    """The key of the subgraph induced by the at most 6 vertices in ``bits``."""
+    """The key of the subgraph induced by the at most 7 vertices in ``bits``."""
     key = 0
-    big = bits.bit_count() > 4
+    n = bits.bit_count()
     rest = bits
+    if n == 7:
+        # each vertex's row, the bits of its degree as three planes of
+        # vertices, and each triangle once, from its lowest vertex and its
+        # middle one
+        side_rows = []
+        ones = twos = fours = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = rows[low.bit_length() - 1] & bits
+            d = row.bit_count()
+            key += _EIGHT_POW[d]
+            if d & 1:
+                ones |= low
+            if d & 2:
+                twos |= low
+            if d & 4:
+                fours |= low
+            side_rows.append(row)
+            up = row & rest
+            while up:
+                mid = up & -up
+                up ^= mid
+                key += (rows[mid.bit_length() - 1] & up).bit_count() << 21
+        for row in side_rows:
+            s = (row & ones).bit_count() + 2 * (row & twos).bit_count() + 4 * (row & fours).bit_count()
+            s *= s
+            key += (s << 27) + (row.bit_count() * s << 41)
+        return key
+    big = n > 4
     while rest:
         low = rest & -rest
         rest ^= low
@@ -162,71 +197,58 @@ def _side_key(bits: int, rows: list[int]) -> int:
                 mid = up & -up
                 up ^= mid
                 mid_row = rows[mid.bit_length() - 1]
-                key += ((mid_row & up).bit_count() << 18) + (d * (mid_row & bits).bit_count() << 23)
+                key += ((mid_row & up).bit_count() << 21) + (d * (mid_row & bits).bit_count() << 26)
     return key
 
 
-def _small_losses() -> tuple[dict[int, int], bytes]:
-    """Each class's index by its key, and a small bidomain's loss, min(side
-    sizes) - MCIS, at G's index times the class count plus H's.
+def _small_classes() -> tuple[dict[int, int], list[int]]:
+    """Each class's mask by its key, and each class's size by the bit length
+    of its mask.
 
-    One undirected graph of each class on 2-6 vertices is keyed by
-    ``_side_key``. Deleting a vertex leaves a graph of a smaller class, so
-    the classes on n vertices are found among those on n - 1 plus a vertex
-    joined to any subset of them, and the subgraphs a class induces are
-    itself and those its vertex deletions induce. The key fixes the class,
-    so two graphs' MCIS is the largest size among the keys both induce.
-    Each entry is below 7, so a row is filled as the hex digits of one int.
+    One undirected graph of each class on 1-7 vertices is keyed by
+    ``_side_key``, and class i is the i-th found, so indices ascend with
+    size and the one-vertex graph is class 0. Every graph has a vertex of
+    least degree, so the classes on n vertices are found among those on
+    n - 1 plus a vertex joined to any subset of them that leaves it of
+    least degree. Bit i of a class's mask is set when the class induces a
+    subgraph of class i: its own bit, and the bits of its one-vertex
+    deletions' masks. The key is an invariant and finds 2, 4, 11, 34, 156
+    and 1,044 classes on 2-7 vertices, as many as there are, so it fixes
+    the class. Two graphs' MCIS is then the size of the largest class both
+    induce, whose bit is the top one of their masks' AND.
     """
-    # each class's key: {the key of each subgraph it induces: its size};
-    # the one-vertex graph's key is 8 ** 0
-    induced = {1: {1: 1}}
+    # the one-vertex graph's key is 8 ** 0; sizes[0] is no class's
+    masks = {1: 1}
+    sizes = [0, 1]
     classes = [[0]]
-    for n in (2, 3, 4, 5, 6):
+    for n in range(2, 8):
         full = (1 << n) - 1
         grown = {}
         for rows in classes:
+            degrees = [row.bit_count() for row in rows]
+            least = min(degrees)
+            # k neighbours leave the new vertex of least degree when k is at
+            # most the least, or one more and they hold every vertex of it
+            need = sum(1 << i for i, d in enumerate(degrees) if d == least)
             for mask in range(1 << (n - 1)):
-                new = [row | (mask >> i & 1) << (n - 1) for i, row in enumerate(rows)]
-                new.append(mask)
-                grown.setdefault(_side_key(full, new), new)
+                k = mask.bit_count()
+                if k <= least or k == least + 1 and mask & need == need:
+                    new = [row | (mask >> i & 1) << (n - 1) for i, row in enumerate(rows)]
+                    new.append(mask)
+                    grown.setdefault(_side_key(full, new), new)
         for key, rows in grown.items():
-            sub = induced[key] = {key: n}
+            mask = 1 << len(sizes) - 1
             for v in range(n):
-                sub.update(induced[_side_key(full ^ 1 << v, rows)])
+                mask |= masks[_side_key(full ^ 1 << v, rows)]
+            masks[key] = mask
+            sizes.append(n)
         classes = grown.values()
-    del induced[1]
-    index = {key: i for i, key in enumerate(induced)}
-    width = len(index)
-    # bit i of a key's holders: the i-th class induces a subgraph of that key
-    holders = {}
-    for i, sub in enumerate(induced.values()):
-        for key in sub:
-            holders[key] = holders.get(key, 0) | 1 << i
-    # a G class's row is one int whose hex digit j is its entry for class
-    # j, starting at min(n, class j's size) for a G class on n vertices
-    sizes = [sub[key] for key, sub in induced.items()]
-    mins = [int("".join(str(min(n, m)) for m in reversed(sizes)), 16) for n in range(7)]
-    table = []
-    for g_key, g_sub in induced.items():
-        n = g_sub[g_key]
-        # bit j of reach[s]: class j and G induce a common subgraph on s
-        # vertices, so one on each smaller size too, and their MCIS is the
-        # number of sizes that reach j; a mask read in hex has a 1 in digit
-        # j for each bit j
-        reach = [0] * (n + 1)
-        for key, size in g_sub.items():
-            reach[size] |= holders[key]
-        row = mins[n]
-        for mask in reach:
-            row -= int(f"{mask:b}", 16)
-        table.append(f"{row:0{width}x}"[::-1])
-    return index, "".join(table).encode().translate(bytes.maketrans(b"0123456", bytes(range(7))))
+    return masks, sizes
 
 
-# a small side's table index by its key, and the loss table, one row per G class
-_SMALL_INDEX, _SMALL_LOSS = _small_losses()
-_SMALL_WIDTH = len(_SMALL_INDEX)
+# a small side's class mask by its key, and a class's size by the bit length
+# of its mask
+_SMALL_MASK, _SMALL_SIZE = _small_classes()
 
 
 @dataclass
@@ -402,9 +424,8 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         mask = sum(1 << g_new[w] for w in members)
         for w in members:
             g_twins[g_new[w]] = mask ^ 1 << g_new[w]
-    # each small side's place in the table by its bits, a G side's as the
-    # offset of its row, an H side's as its column; most sides recur at
-    # many nodes
+    # each small side's class mask by its bits; most sides recur at many
+    # nodes
     g_keys: dict[int, int] = {}
     h_keys: dict[int, int] = {}
     use_var, use_val = _CONFIG_RULES[config.name]
@@ -489,20 +510,21 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             if k < best_k:
                 best_k = k
                 best_i = i
-            # the table holds undirected sides of 2-6 vertices
-            if k < 7 and gl > 1 and hl > 1 and not directed:
+            # undirected sides of 2-7 vertices are capped by the size of
+            # the largest class both induce
+            if k < 8 and gl > 1 and hl > 1 and not directed:
                 g_at = g_keys.get(gb)
                 if g_at is None:
                     if len(g_keys) == _KEYS_KEPT:
                         g_keys.clear()
-                    g_at = g_keys[gb] = _SMALL_INDEX[_side_key(gb, g_out)] * _SMALL_WIDTH
+                    g_at = g_keys[gb] = _SMALL_MASK[_side_key(gb, g_out)]
                 h_at = h_keys.get(hb)
                 if h_at is None:
                     if len(h_keys) == _KEYS_KEPT:
                         h_keys.clear()
                     # on H's own rows, since most are not relabelled
-                    h_at = h_keys[hb] = _SMALL_INDEX[_side_key(_relabel_row(hb, h_ids), h_rows[0])]
-                lead -= _SMALL_LOSS[g_at + h_at]
+                    h_at = h_keys[hb] = _SMALL_MASK[_side_key(_relabel_row(hb, h_ids), h_rows[0])]
+                lead -= (gl if gl < hl else hl) - _SMALL_SIZE[(g_at & h_at).bit_length()]
                 if lead <= 0:
                     break
         if lead <= 0:

@@ -36,7 +36,7 @@ those to them, graph for graph and error line for error line.
 Isomorphism classes: ``canonical_form`` names an undirected graph's class
 by the least edge mask over relabellings, and ``graph_classes`` grows one
 graph of each class on up to n vertices. They never read ``_side_key``, so
-the tests and ``tools/sweep.py`` hold the small-bidomain table to them.
+the tests and ``tools/sweep.py`` hold the small-bidomain masks to them.
 
 Test-only helpers: ``degree``, ``neighbors``, ``in_neighbors``,
 ``edge_list``, ``has_loops``, ``are_symmetric``, ``kind_of``, ``to_lad``,
@@ -102,7 +102,7 @@ def small_bidomain_bound(
     Pairs never leave their bidomain, and those one bidomain gives induce
     isomorphic subgraphs of its two sides, so it gives at most the MCIS of
     the subgraphs its sides induce. For undirected graphs, a bidomain with
-    2-6 vertices a side counts that MCIS, found by brute force, in place
+    2-7 vertices a side counts that MCIS, found by brute force, in place
     of min(side sizes). ``caps`` keeps the MCIS of sides already seen, by
     their vertex tuples, for calls on the same g and h.
     """
@@ -110,7 +110,7 @@ def small_bidomain_bound(
     if g.directed:
         return bound
     for bd in partition:
-        if 2 <= len(bd.gs) <= 6 and 2 <= len(bd.hs) <= 6:
+        if 2 <= len(bd.gs) <= 7 and 2 <= len(bd.hs) <= 7:
             sides = (tuple(bd.gs), tuple(bd.hs))
             if sides not in caps:
                 caps[sides] = brute_force_size(induced_subgraph(g, bd.gs), induced_subgraph(h, bd.hs))

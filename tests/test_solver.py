@@ -19,7 +19,7 @@ from mcis import (
     solve,
 )
 from mcis.oracle import brute_force_size
-from mcis.solver import _SMALL_INDEX, _SMALL_LOSS, _SMALL_WIDTH, _degrees, _side_key, _split, _value_order
+from mcis.solver import _SMALL_MASK, _SMALL_SIZE, _degrees, _side_key, _split, _value_order
 from reference import (
     Bidomain,
     arc_count,
@@ -104,54 +104,79 @@ def _induced_forms(g):
     }
 
 
-def test_small_loss_table_matches_brute_force():
+def _relabelled_rows(g, perm):
+    """g's rows with each vertex v renamed perm[v]."""
+    rows = [0] * g.n
+    for v, row in enumerate(g.out_bits):
+        for w in range(g.n):
+            if row >> w & 1:
+                rows[perm[v]] |= 1 << perm[w]
+    return rows
+
+
+def test_small_class_masks_match_brute_force():
     classes = graph_classes(6)
-    # 1, 2, 4, 11, 34 and 156 isomorphism classes on 1 to 6 vertices
+    # 1, 2, 4, 11, 34 and 156 isomorphism classes on 1 to 6 vertices, and
+    # the derivation finds as many, and 1,044 on 7; each class's index, its
+    # mask's top bit, ascends with its size
     assert [len(classes[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
-    keys = {}
-    for n in range(2, 7):
-        edges = list(itertools.combinations(range(n), 2))
+    assert [_SMALL_SIZE.count(n) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert sorted(mask.bit_length() for mask in _SMALL_MASK.values()) == list(range(1, 1253))
+    assert _SMALL_SIZE[1:] == sorted(_SMALL_SIZE[1:])
+    # each relabelling of a class's graph on 1-6 vertices, so each graph of
+    # the class, has one key
+    graphs = {}
+    for n in range(1, 7):
         for g in classes[n]:
-            # each relabelling of the class's graph, so each graph of the
-            # class, has one key
-            found = set()
-            for perm in itertools.permutations(range(n)):
-                rows = [0] * n
-                for a, b in edges:
-                    if g.out_bits[a] >> b & 1:
-                        rows[perm[a]] |= 1 << perm[b]
-                        rows[perm[b]] |= 1 << perm[a]
-                found.add(_side_key((1 << n) - 1, rows))
-            (key,) = found
-            keys[key] = g
-    # no two of the 207 classes share a key, and the table has a row and a
-    # column for each
-    assert len(keys) == 207 and _SMALL_INDEX.keys() == keys.keys() and len(_SMALL_LOSS) == 207 * 207
-    # each entry against the MCIS the classes' induced subgraphs give
-    forms = {key: _induced_forms(g) for key, g in keys.items()}
-    mcis = {}
-    for g_key, g in keys.items():
-        for h_key, h in keys.items():
-            size = mcis[g_key, h_key] = max(n for n, _ in forms[g_key] & forms[h_key])
-            loss = _SMALL_LOSS[_SMALL_INDEX[g_key] * _SMALL_WIDTH + _SMALL_INDEX[h_key]]
-            assert loss == min(g.n, h.n) - size, (g, h)
-    # and that MCIS against brute force on every pair of 2-5 vertices and a
-    # seeded sample of the pairs with a side of 6
-    small = [(g_key, h_key) for g_key, h_key in mcis if keys[g_key].n < 6 and keys[h_key].n < 6]
-    six = sorted(mcis.keys() - set(small))
-    for g_key, h_key in small + random.Random(26).sample(six, 300):
-        assert mcis[g_key, h_key] == brute_force_size(keys[g_key], keys[h_key]), (keys[g_key], keys[h_key])
+            (key,) = {_side_key((1 << n) - 1, _relabelled_rows(g, perm)) for perm in itertools.permutations(range(n))}
+            graphs[key] = g
+    # every graph on 7 vertices is one on 6 plus a vertex joined to some of
+    # them; each key it gives keeps under a seeded sample of relabellings
+    rng = random.Random(27)
+    seven = {}
+    for g in classes[6]:
+        for mask in range(1 << 6):
+            rows = [row | (mask >> v & 1) << 6 for v, row in enumerate(g.out_bits)] + [mask]
+            key = _side_key((1 << 7) - 1, rows)
+            if key not in seven:
+                seven[key] = Graph(7, [(a, b) for a in range(7) for b in range(a + 1, 7) if rows[a] >> b & 1])
+    for key, g in seven.items():
+        assert {_side_key((1 << 7) - 1, _relabelled_rows(g, rng.sample(range(7), 7))) for _ in range(20)} == {key}
+    # so the 1,044 keys on 7 vertices, as many as there are classes, are one
+    # class each, and the masks hold a key for every class on 1-7 vertices
+    graphs.update(seven)
+    assert graphs.keys() == _SMALL_MASK.keys()
+    # a mask on up to 6 vertices has the bit of each class its graph induces
+    by_bit = {_SMALL_MASK[key].bit_length() - 1: g for key, g in graphs.items()}
+    for key, g in graphs.items():
+        if g.n < 7:
+            mask = _SMALL_MASK[key]
+            assert {canonical_form(by_bit[i]) for i in range(mask.bit_length()) if mask >> i & 1} == _induced_forms(g), g
+    # the cap, the size of the largest class both induce, against brute
+    # force on every pair of 2-5 vertices and seeded samples of the pairs
+    # with a side of 6 and of 7
+    by_n = {n: [key for key, g in graphs.items() if g.n == n] for n in range(2, 8)}
+    small = [key for n in range(2, 6) for key in by_n[n]]
+    pairs = list(itertools.product(small, small))
+    for n, count in ((6, 300), (7, 600)):
+        others = small + by_n[6] + (by_n[7] if n == 7 else [])
+        for _ in range(count):
+            pair = (rng.choice(by_n[n]), rng.choice(others))
+            pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+    for g_key, h_key in pairs:
+        cap = _SMALL_SIZE[(_SMALL_MASK[g_key] & _SMALL_MASK[h_key]).bit_length()]
+        assert cap == brute_force_size(graphs[g_key], graphs[h_key]), (graphs[g_key], graphs[h_key])
 
 
 def test_small_bidomain_bound_is_sound(corpus):
     # over complete unpruned trees of the small undirected pairs: the bound
     # never falls below the best full mapping under a node, nor rises above
     # the sum of min sides, and it is the lower of the two at some nodes,
-    # some of them by a bidomain with 5 vertices on a side, and some by one
-    # with 6
-    small = [p for p in corpus if not p.directed and p.g.n <= 6 and p.h.n <= 6]
+    # some of them by a bidomain with 5 vertices on a side, some by one with
+    # 6 and some by one with 7
+    small = [p for p in corpus if not p.directed and p.g.n <= 7 and p.h.n <= 7]
     tighter = 0
-    tighter_by = {5: 0, 6: 0}
+    tighter_by = {5: 0, 6: 0, 7: 0}
     for pair in small:
         caps = {}
 
@@ -453,14 +478,16 @@ def test_solve_rejects_empty_and_mismatched():
 # leaves; against K1,4 with one isolated vertex in G, bidomains of up to 6
 # vertices a side are capped so early that the var rule never fires
 TWIN_G_EDGES = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
-TWIN_H_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+TWIN_H_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]
 
 
 def test_stats_gated_by_config():
     # each config counts only its own rules on both pairs; the rules fire
     # on the twin pair, since on the known one the small-bidomain bound
-    # leaves the var rule nothing to skip
-    for g, h in ((graph_g(), graph_h()), (Graph(8, TWIN_G_EDGES), Graph(6, TWIN_H_EDGES))):
+    # leaves the var rule nothing to skip. G has three isolated twins and H
+    # six leaves: with two and five, bidomains of up to 7 vertices a side
+    # are capped so soon that the var rule skips nothing there either
+    for g, h in ((graph_g(), graph_h()), (Graph(9, TWIN_G_EDGES), Graph(7, TWIN_H_EDGES))):
         st_none = solve(g, h, SolverConfig("none")).stats
         assert st_none.var_sym_prunes == 0 and st_none.val_sym_prunes == 0
         st_var = solve(g, h, SolverConfig("var")).stats

@@ -4,30 +4,36 @@ Usage:
 
     python3 tools/sweep.py
 
-Two sweeps over undirected graphs without loops, each pair solved under
+Three sweeps over undirected graphs without loops, each pair solved under
 every configuration:
 
 * every ordered pair of class graphs on 2-6 vertices, one graph of each
-  isomorphism class (207 ** 2 pairs), so every entry of the solver's
-  small-bidomain table caps some root;
+  isomorphism class (207 ** 2 pairs), so every pair of the solver's small
+  classes on up to 6 vertices caps some root;
 * every labelled pair of a graph on 1-4 vertices and one on 5 (75 * 1,024
   pairs), since the rules break ties by vertex id, so one graph per class
-  would leave most orders untried.
+  would leave most orders untried;
+* a seeded sample of pairs with a 7-vertex side, the other of 2-7
+  vertices, each side relabelled at random. A 7-vertex graph is drawn
+  from the 156 class graphs on 6 vertices, each joined by a seventh vertex
+  to every subset of it (9,984 graphs), which holds every class on 7.
 
 A run passes when its size equals ``mcis.oracle.brute_force_size`` of the
 pair, which shares no code with the search, and its mapping is an induced
-isomorphism of that size. A pair with 2-6 vertices a side must also find
-that size in the solver's small-bidomain table: a 6-vertex side here is a
-whole graph, so it caps a root only, where a cap one too low prunes only
-if the MCIS is 1, and the runs alone would pass such an entry. The first
-pair that fails is printed as its two edge lists, with each failing
-configuration, and the exit code is 1. Else one line per sweep gives its
-pair count and seconds, and the exit code is 0.
+isomorphism of that size. A pair with 2-7 vertices a side must also get
+that size as the solver's small-bidomain cap, the size of the largest
+class both sides induce: a 6- or 7-vertex side here is a whole graph, so
+it caps a root only, where a cap one too low prunes only if the MCIS is
+1, and the runs alone would pass such a cap. The first pair that fails is
+printed as its two edge lists, with each failing configuration, and the
+exit code is 1. Else one line per sweep gives its pair count and seconds,
+and the exit code is 0.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -37,8 +43,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from mcis import CONFIG_NAMES, Graph, SolverConfig, is_isomorphism, solve  # noqa: E402
 from mcis.oracle import brute_force_size  # noqa: E402
-from mcis.solver import _SMALL_INDEX, _SMALL_LOSS, _SMALL_WIDTH, _side_key  # noqa: E402
+from mcis.solver import _SMALL_MASK, _SMALL_SIZE, _side_key  # noqa: E402
 from reference import edge_list, graph_classes  # noqa: E402
+
+
+# pairs with a 7-vertex side, and the seed that draws them
+SEVEN_PAIRS = 10_000
+SEVEN_SEED = 27
 
 
 def labelled_graphs(n: int) -> list[Graph]:
@@ -50,16 +61,36 @@ def labelled_graphs(n: int) -> list[Graph]:
     ]
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    perm = rng.sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in edge_list(g)])
+
+
+def seven_vertex_pairs(six: list[Graph], others: list[Graph], count: int, seed: int):
+    """``count`` seeded pairs of a 7-vertex graph and one of ``others`` or
+    another 7-vertex graph, in either order, each side relabelled."""
+    seven = [
+        Graph(7, edge_list(g) + [(v, 6) for v in range(6) if mask >> v & 1]) for g in six for mask in range(1 << 6)
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = rng.choice(seven)
+        h = rng.choice(seven) if rng.random() < 0.5 else rng.choice(others)
+        g, h = relabelled(g, rng), relabelled(h, rng)
+        yield (g, h) if rng.random() < 0.5 else (h, g)
+
+
 def failures(g: Graph, h: Graph) -> list[str]:
     """Each configuration whose run on (g, h) is wrong, with what it found,
-    and the small-bidomain table if its cap for (g, h) is wrong."""
+    and the small-bidomain cap if it is wrong for (g, h)."""
     size = brute_force_size(g, h)
     wrong = []
-    if 1 < g.n < 7 and 1 < h.n < 7:
-        g_at, h_at = (_SMALL_INDEX[_side_key((1 << x.n) - 1, x.out_bits)] for x in (g, h))
-        cap = min(g.n, h.n) - _SMALL_LOSS[g_at * _SMALL_WIDTH + h_at]
+    if 1 < g.n < 8 and 1 < h.n < 8:
+        g_mask, h_mask = (_SMALL_MASK[_side_key((1 << x.n) - 1, x.out_bits)] for x in (g, h))
+        cap = _SMALL_SIZE[(g_mask & h_mask).bit_length()]
         if cap != size:
-            wrong.append(f"table: cap {cap}, brute force {size}")
+            wrong.append(f"small-bidomain cap {cap}, brute force {size}")
     for name in CONFIG_NAMES:
         sol = solve(g, h, SolverConfig(name))
         found = sol.stats.incumbent_size
@@ -82,7 +113,7 @@ def sweep(label: str, pairs) -> bool:
                 print(f"  {line}")
             return False
         count += 1
-    print(f"{label}: {count} pairs, all configs and table caps equal brute force ({perf_counter() - start:.1f} s)")
+    print(f"{label}: {count} pairs, all configs and small-bidomain caps equal brute force ({perf_counter() - start:.1f} s)")
     return True
 
 
@@ -90,8 +121,13 @@ def main() -> int:
     classes = graph_classes(6)
     graphs = [g for n in range(2, 7) for g in classes[n]]
     smaller = [g for n in range(1, 5) for g in labelled_graphs(n)]
-    ok = sweep("class pairs on 2-6 vertices", itertools.product(graphs, graphs)) and sweep(
-        "labelled pairs of 1-4 against 5 vertices", itertools.product(smaller, labelled_graphs(5))
+    ok = (
+        sweep("class pairs on 2-6 vertices", itertools.product(graphs, graphs))
+        and sweep("labelled pairs of 1-4 against 5 vertices", itertools.product(smaller, labelled_graphs(5)))
+        and sweep(
+            f"seeded pairs with a 7-vertex side (seed {SEVEN_SEED})",
+            seven_vertex_pairs(classes[6], graphs, SEVEN_PAIRS, SEVEN_SEED),
+        )
     )
     return 0 if ok else 1
 
