@@ -35,8 +35,9 @@ those to them, graph for graph and error line for error line.
 
 Isomorphism classes: ``canonical_form`` names an undirected graph's class
 by the least edge mask over relabellings, and ``graph_classes`` grows one
-graph of each class on up to n vertices. They never read ``_side_key``, so
-the tests and ``tools/sweep.py`` hold the small-bidomain masks to them.
+graph of each class on up to n vertices by ``extensions``. They never read
+``_side_key``, so the tests and ``tools/sweep.py`` hold the small-bidomain
+masks to them.
 
 Test-only helpers: ``degree``, ``neighbors``, ``in_neighbors``,
 ``edge_list``, ``has_loops``, ``are_symmetric``, ``kind_of``, ``to_lad``,
@@ -609,21 +610,26 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return n, best
 
 
-def graph_classes(max_n: int) -> dict[int, list[Graph]]:
-    """One undirected graph without loops of each isomorphism class, by
-    vertex count from 1 to ``max_n``.
+def extensions(g: Graph) -> list[Graph]:
+    """g plus a new vertex joined to each subset of g's vertices.
 
     Deleting the last vertex of a graph on n vertices leaves a graph on n - 1
-    isomorphic to some class's, so the classes on n are found among those on
-    n - 1 plus a vertex joined to any subset of them.
+    isomorphic to some class's, so the extensions of one graph of each class
+    on n - 1 hold a graph of every class on n.
     """
+    edges = edge_list(g)
+    return [Graph(g.n + 1, edges + [(v, g.n) for v in range(g.n) if mask >> v & 1]) for mask in range(1 << g.n)]
+
+
+def graph_classes(max_n: int) -> dict[int, list[Graph]]:
+    """One undirected graph without loops of each isomorphism class, by
+    vertex count from 1 to ``max_n``, found among the ``extensions`` of the
+    classes one vertex smaller."""
     classes = {1: [Graph(1, [])]}
     for n in range(2, max_n + 1):
         grown = {}
         for g in classes[n - 1]:
-            edges = edge_list(g)
-            for mask in range(1 << (n - 1)):
-                new = Graph(n, edges + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
+            for new in extensions(g):
                 grown.setdefault(canonical_form(new), new)
         classes[n] = list(grown.values())
     return classes

@@ -27,6 +27,7 @@ from reference import (
     complement,
     degree,
     enumerate_tree,
+    extensions,
     graph_classes,
     induced_subgraph,
     initial_partition,
@@ -135,23 +136,28 @@ def test_small_class_masks_match_brute_force():
     rng = random.Random(27)
     seven = {}
     for g in classes[6]:
-        for mask in range(1 << 6):
-            rows = [row | (mask >> v & 1) << 6 for v, row in enumerate(g.out_bits)] + [mask]
-            key = _side_key((1 << 7) - 1, rows)
-            if key not in seven:
-                seven[key] = Graph(7, [(a, b) for a in range(7) for b in range(a + 1, 7) if rows[a] >> b & 1])
+        for new in extensions(g):
+            seven.setdefault(_side_key((1 << 7) - 1, new.out_bits), new)
     for key, g in seven.items():
         assert {_side_key((1 << 7) - 1, _relabelled_rows(g, rng.sample(range(7), 7))) for _ in range(20)} == {key}
     # so the 1,044 keys on 7 vertices, as many as there are classes, are one
     # class each, and the masks hold a key for every class on 1-7 vertices
     graphs.update(seven)
     assert graphs.keys() == _SMALL_MASK.keys()
-    # a mask on up to 6 vertices has the bit of each class its graph induces
+    # a mask on up to 6 vertices has the bit of each class its graph
+    # induces, and one on 7 its own bit and the masks of its one-vertex
+    # deletions, each found by its canonical form
     by_bit = {_SMALL_MASK[key].bit_length() - 1: g for key, g in graphs.items()}
+    mask_by_form = {}
     for key, g in graphs.items():
         if g.n < 7:
-            mask = _SMALL_MASK[key]
+            mask = mask_by_form[canonical_form(g)] = _SMALL_MASK[key]
             assert {canonical_form(by_bit[i]) for i in range(mask.bit_length()) if mask >> i & 1} == _induced_forms(g), g
+    for key, g in seven.items():
+        mask = 1 << _SMALL_MASK[key].bit_length() - 1
+        for v in range(7):
+            mask |= mask_by_form[canonical_form(induced_subgraph(g, [w for w in range(7) if w != v]))]
+        assert _SMALL_MASK[key] == mask, g
     # the cap, the size of the largest class both induce, against brute
     # force on every pair of 2-5 vertices and seeded samples of the pairs
     # with a side of 6 and of 7

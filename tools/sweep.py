@@ -44,7 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from mcis import CONFIG_NAMES, Graph, SolverConfig, is_isomorphism, solve  # noqa: E402
 from mcis.oracle import brute_force_size  # noqa: E402
 from mcis.solver import _SMALL_MASK, _SMALL_SIZE, _side_key  # noqa: E402
-from reference import edge_list, graph_classes  # noqa: E402
+from reference import edge_list, extensions, graph_classes  # noqa: E402
 
 
 # pairs with a 7-vertex side, and the seed that draws them
@@ -70,9 +70,7 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
 def seven_vertex_pairs(six: list[Graph], others: list[Graph], count: int, seed: int):
     """``count`` seeded pairs of a 7-vertex graph and one of ``others`` or
     another 7-vertex graph, in either order, each side relabelled."""
-    seven = [
-        Graph(7, edge_list(g) + [(v, 6) for v in range(6) if mask >> v & 1]) for g in six for mask in range(1 << 6)
-    ]
+    seven = [new for g in six for new in extensions(g)]
     rng = random.Random(seed)
     for _ in range(count):
         g = rng.choice(seven)
