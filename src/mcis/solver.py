@@ -178,6 +178,7 @@ def _side_key(bits: int, rows: list[int]) -> int:
                 up ^= mid
                 key += (rows[mid.bit_length() - 1] & up).bit_count() << 21
         for row in side_rows:
+            # the sum of the vertex's neighbours' degrees, plane by plane
             s = (row & ones).bit_count() + 2 * (row & twos).bit_count() + 4 * (row & fours).bit_count()
             s *= s
             key += (s << 27) + (row.bit_count() * s << 41)
