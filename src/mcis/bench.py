@@ -240,9 +240,9 @@ def run_batch(
         configs = ["dual", "none"]
     if not configs:
         raise ValueError("at least one config is required")
-    # checked before anything is written, so a bad name or timeout writes
-    # nothing; the solved-curve grid and summary.json need a finite timeout,
-    # and the per-config tables one run per pair and name
+    # checked before anything is written, so a bad name, timeout or worker
+    # count writes nothing; the solved-curve grid and summary.json need a
+    # finite timeout, and the per-config tables one run per pair and name
     solver_configs = [SolverConfig(c, timeout=timeout) for c in configs]
     if len(set(configs)) < len(configs):
         raise ValueError(f"duplicate config in {configs}")
@@ -250,6 +250,8 @@ def run_batch(
         raise ValueError("timeout must be finite")
     if jobs is None:
         jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     pairs = read_manifest(manifest_path)
     # made before any task runs, so a bad path loses no solve
@@ -260,7 +262,7 @@ def run_batch(
         for config in solver_configs:
             tasks.append((g_path, h_path, config, fmt, directed, loops, f"{i:04d}:{Path(g_path).name}:{Path(h_path).name}"))
 
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         reports = [_run_task(t) for t in tasks]
     else:
         # imported here, so a serial batch or a single solve loads no pool

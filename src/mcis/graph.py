@@ -165,7 +165,10 @@ def parse_lad(text: str) -> Graph:
     """Parse the LAD adjacency-list format into an undirected Graph.
 
     Each mention of w in row v is an edge ``(v, w)``, so a one-sided or
-    repeated mention gives the same edge.
+    repeated mention gives the same edge. A row that mentions its own
+    vertex gives it a self-loop; LAD takes no option for that, unlike
+    :func:`parse_edgelist`, so the command line's ``--loops`` governs
+    edge lists only.
     """
     n, owners, nbrs = _read_lad(text)
     return Graph(n, rows=_rows(n, zip(owners, nbrs), False))

@@ -97,12 +97,17 @@ the incumbent.
 
 Each node the bound keeps updates the incumbent, then scans its list
 once. The scan takes each small bidomain's loss off the node's lead, and
-the node is pruned once no lead is left; it also finds the bidomain to branch on, the first with the
-smallest max side, as McSplit does. The node takes v out of that
-bidomain, then pushes its unmatched child, on a copy of the list and with
-its exact bound, and its candidates from the top rank down, so they pop
-in value order with the unmatched child last, as the counters expect.
-A kept node owns its list (the root's, a split's result or its own copy),
+the node is pruned once no lead is left; it also finds the bidomain to
+branch on, the first with the smallest max side, as McSplit does. The
+node takes v out of that bidomain, and its unmatched child, under the
+variable rule, v's twins too. That child's lead is the node's, with the
+bidomain's min side and loss traded for those of what is left of it, as
+the child's own scan will take them. The child is pushed, on a copy of
+the list and with its plain bound, only when that lead is positive: the
+incumbent only grows, so a child without one would be popped only to be
+pruned. Then the node pushes its candidates from the top rank down, so
+they pop in value order with the unmatched child last, as the counters
+expect. A kept node owns its list (the root's, a split's result or its own copy),
 and its candidates share it, each taking u out and putting it back around
 its own split.
 
@@ -250,6 +255,16 @@ def _small_classes() -> tuple[dict[int, int], list[int]]:
 # a small side's class mask by its key, and a class's size by the bit length
 # of its mask
 _SMALL_MASK, _SMALL_SIZE = _small_classes()
+
+
+def _keep(keys: dict[int, int], bits: int, key: int) -> int:
+    """Keep and return the class mask of the side ``bits``, whose key is
+    ``key``; a full ``keys`` starts over. A mask is never 0, so a lookup
+    falls back to this with ``or``."""
+    if len(keys) == _KEYS_KEPT:
+        keys.clear()
+    mask = keys[bits] = _SMALL_MASK[key]
+    return mask
 
 
 @dataclass
@@ -501,33 +516,33 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             branches_to_best = branches
 
         # one scan takes each small bidomain's loss off the lead and finds
-        # the first bidomain with the smallest max side to branch on; a
-        # node with nothing left to match has no lead once it is the
-        # incumbent, so a node that branches has a bidomain
+        # the first bidomain with the smallest max side to branch on, with
+        # its loss and H mask; a node with nothing left to match has no
+        # lead once it is the incumbent, so a node that branches has a
+        # bidomain
         lead = bound - incumbent
         best_k = 1 << 60
         for i, (gb, hb, gl, hl) in enumerate(bds):
             k = gl if gl >= hl else hl
-            if k < best_k:
-                best_k = k
-                best_i = i
             # undirected sides of 2-7 vertices are capped by the size of
             # the largest class both induce
             if k < 8 and gl > 1 and hl > 1 and not directed:
-                g_at = g_keys.get(gb)
-                if g_at is None:
-                    if len(g_keys) == _KEYS_KEPT:
-                        g_keys.clear()
-                    g_at = g_keys[gb] = _SMALL_MASK[_side_key(gb, g_out)]
-                h_at = h_keys.get(hb)
-                if h_at is None:
-                    if len(h_keys) == _KEYS_KEPT:
-                        h_keys.clear()
-                    # on H's own rows, since most are not relabelled
-                    h_at = h_keys[hb] = _SMALL_MASK[_side_key(_relabel_row(hb, h_ids), h_rows[0])]
-                lead -= (gl if gl < hl else hl) - _SMALL_SIZE[(g_at & h_at).bit_length()]
+                g_at = g_keys.get(gb) or _keep(g_keys, gb, _side_key(gb, g_out))
+                # on H's own rows, since most are not relabelled
+                h_at = h_keys.get(hb) or _keep(h_keys, hb, _side_key(_relabel_row(hb, h_ids), h_rows[0]))
+                loss = (gl if gl < hl else hl) - _SMALL_SIZE[(g_at & h_at).bit_length()]
+                lead -= loss
                 if lead <= 0:
                     break
+                if k < best_k:
+                    best_k = k
+                    best_i = i
+                    best_loss = loss
+                    best_h_at = h_at
+            elif k < best_k:
+                best_k = k
+                best_i = i
+                best_loss = best_h_at = 0
         if lead <= 0:
             bound_prunes += 1
             continue
@@ -546,7 +561,8 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                     var_bound = pu
 
         # every child lacks v; the candidates share this list and take u out
-        # of it around their own splits, the unmatched child owns a copy
+        # of it around their own splits, the unmatched child, if pushed, owns
+        # a copy
         bds[best_i] = (gb, hb, gl, hl)
         # leaving v out lowers the chosen min by one exactly when G's side,
         # now short of v, is the smaller
@@ -559,12 +575,21 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
             left = gl - twins.bit_count()
             rest_bound -= (gl if gl < hl else hl) - (left if left < hl else hl)
             gl = left
-        rest = bds.copy()
-        if gl:
-            rest[best_i] = (gb, hb, gl, hl)
-        else:
-            del rest[best_i]
-        stack.append((rest, mc, None, rest_bound))
+        # the unmatched child's lead, as its own scan will find it: the
+        # node's, with the chosen bidomain's min side and loss traded for
+        # those of what is left of it; a child without one is never pushed
+        rest_lead = lead - bound + rest_bound + best_loss
+        if gl > 1 and hl > 1 and gl < 8 and hl < 8 and not directed:
+            g_at = g_keys.get(gb) or _keep(g_keys, gb, _side_key(gb, g_out))
+            h_at = best_h_at or h_keys.get(hb) or _keep(h_keys, hb, _side_key(_relabel_row(hb, h_ids), h_rows[0]))
+            rest_lead -= (gl if gl < hl else hl) - _SMALL_SIZE[(g_at & h_at).bit_length()]
+        if rest_lead > 0:
+            rest = bds.copy()
+            if gl:
+                rest[best_i] = (gb, hb, gl, hl)
+            else:
+                del rest[best_i]
+            stack.append((rest, mc, None, rest_bound))
 
         prev_class = -1
         cands = hb

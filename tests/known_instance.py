@@ -39,7 +39,7 @@ G_CLASSES = [("negative", (4, 5)), ("negative", (7, 9))]
 H_CLASSES = [("positive", (3, 4))]
 
 # branch counts of the fixed deterministic search, one per rule configuration
-BRANCHES = {"none": 101, "var": 101, "val": 78, "dual": 78}
+BRANCHES = {"none": 84, "var": 83, "val": 66, "dual": 65}
 
 
 def graph_g() -> Graph:

@@ -376,6 +376,17 @@ def reference_solve(g, h, config):
         i = select_bidomain(partition)
         bd = partition[i]
         v = select_vertex(bd, g)
+        rest = _without(partition, i, v, None)
+        if use_var:
+            # once v is unmatched the var rule gives its class-mates no
+            # value, so they are left out with it
+            cid = classes_g.class_id[v]
+            rest[i].gs = [w for w in rest[i].gs if classes_g.class_id[w] != cid]
+        if not rest[i].gs:
+            rest.pop(i)
+        # the unmatched child is searched only if its bound beats the
+        # incumbent of the node's own entry
+        rest_alive = small_bidomain_bound(mapping, rest, g, h, caps) > stats["incumbent_size"]
         for u in order_values(bd, h, classes_h):
             if use_var and var_sym_prunable(mapping, v, u, classes_g, rank):
                 stats["var_sym_prunes"] += 1
@@ -387,17 +398,10 @@ def reference_solve(g, h, config):
             mapping.append((v, u))
             search(children)
             mapping.pop()
-        rest = _without(partition, i, v, None)
-        if use_var:
-            # once v is unmatched the var rule gives its class-mates no
-            # value, so they are left out with it
-            cid = classes_g.class_id[v]
-            rest[i].gs = [w for w in rest[i].gs if classes_g.class_id[w] != cid]
-        if not rest[i].gs:
-            rest.pop(i)
-        mapping.append((v, None))
-        search(rest)
-        mapping.pop()
+        if rest_alive:
+            mapping.append((v, None))
+            search(rest)
+            mapping.pop()
 
     search(initial_partition(g, h))
     if swapped:

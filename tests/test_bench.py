@@ -21,6 +21,7 @@ from mcis import (
     solve,
 )
 from mcis.bench import _curve_bounds, load_graph, read_manifest
+from mcis.cli import main
 from known_instance import BRANCHES, graph_g, graph_h
 from reference import to_lad
 
@@ -448,6 +449,20 @@ def test_run_batch_rejects_nan_timeout(tmp_path):
     man = write(tmp_path / "m.txt", "")
     with pytest.raises(ValueError, match="timeout"):
         run_batch(man, configs=["dual"], jobs=1, out_dir=tmp_path / "o", timeout=float("nan"))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_batch_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    # checked before the manifest is read or the output directory made, and
+    # mcis bench --jobs reports it as an error, not as a serial run
+    write(tmp_path / "k3.lad", K3_LAD)
+    man = write(tmp_path / "m.txt", "k3.lad k3.lad\n")
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        run_batch(man, configs=["dual"], jobs=jobs, out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+    assert main(["bench", man, "--jobs", str(jobs), "--out", str(tmp_path / "o")]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -134,6 +134,30 @@ def test_solve_edgelist_directed(capsys, tmp_path):
     assert json.loads(out)["incumbent_size"] == 1
 
 
+@pytest.mark.parametrize("flag", [[], ["--loops"]])
+def test_solve_lad_reads_own_vertex_as_loop_with_or_without_loops_flag(capsys, tmp_path, flag):
+    # vertex 0 of G lists itself: a looped vertex maps only to a looped one,
+    # so K2 with one loop shares one vertex with K2; --loops is for edge lists
+    looped = write(tmp_path / "looped.lad", "2\n2 0 1\n1 0\n")
+    k2 = write(tmp_path / "k2.lad", "2\n1 1\n1 0\n")
+    code, out, _ = run(capsys, "solve", looped, k2, *flag)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["incumbent_size"] == 1
+    assert payload["mapping"] == [["1", "0"]]
+    code, out, _ = run(capsys, "solve", k2, k2, *flag)
+    assert json.loads(out)["incumbent_size"] == 2
+
+
+def test_solve_edgelist_rejects_loop_without_loops_flag(capsys, tmp_path):
+    looped = write(tmp_path / "looped.txt", "2 2\n0 0\n0 1\n")
+    code, _, err = run(capsys, "solve", looped, looped, "--format", "edgelist")
+    assert code == 1
+    assert "line 2" in err
+    code, out, _ = run(capsys, "solve", looped, looped, "--format", "edgelist", "--loops")
+    assert json.loads(out)["incumbent_size"] == 2
+
+
 # -- other subcommands -------------------------------------------------------------
 
 

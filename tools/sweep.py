@@ -4,8 +4,8 @@ Usage:
 
     python3 tools/sweep.py
 
-Three sweeps over undirected graphs without loops, each pair solved under
-every configuration:
+Four sweeps, each pair solved under every configuration. Three are over
+undirected graphs without loops:
 
 * every ordered pair of class graphs on 2-6 vertices, one graph of each
   isomorphism class (207 ** 2 pairs), so every pair of the solver's small
@@ -18,10 +18,15 @@ every configuration:
   from the 156 class graphs on 6 vertices, each joined by a seventh vertex
   to every subset of it (9,984 graphs), which holds every class on 7.
 
+The fourth is over directed graphs with loops: every labelled pair of a
+graph on 2 vertices and one on 3, both ways round (16 * 512 * 2 pairs).
+It reaches the root's split by loop flag, the in-row split, the
+complement rows of dense directed pairs and the swap of a larger G.
+
 A run passes when its size equals ``mcis.oracle.brute_force_size`` of the
 pair, which shares no code with the search, and its mapping is an induced
-isomorphism of that size. A pair with 2-7 vertices a side must also get
-that size as the solver's small-bidomain cap, the size of the largest
+isomorphism of that size. An undirected pair with 2-7 vertices a side
+must also get that size as the solver's small-bidomain cap, the size of the largest
 class both sides induce: a 6- or 7-vertex side here is a whole graph, so
 it caps a root only, where a cap one too low prunes only if the MCIS is
 1, and the runs alone would pass such a cap. The first pair that fails is
@@ -52,11 +57,12 @@ SEVEN_PAIRS = 10_000
 SEVEN_SEED = 27
 
 
-def labelled_graphs(n: int) -> list[Graph]:
-    """Every undirected graph without loops on vertices 0..n-1."""
-    pairs = list(itertools.combinations(range(n), 2))
+def labelled_graphs(n: int, directed: bool = False) -> list[Graph]:
+    """Every graph on vertices 0..n-1: undirected without loops, or
+    directed with any arcs and loops."""
+    pairs = list(itertools.product(range(n), repeat=2) if directed else itertools.combinations(range(n), 2))
     return [
-        Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1], directed=directed)
         for mask in range(1 << len(pairs))
     ]
 
@@ -84,7 +90,8 @@ def failures(g: Graph, h: Graph) -> list[str]:
     and the small-bidomain cap if it is wrong for (g, h)."""
     size = brute_force_size(g, h)
     wrong = []
-    if 1 < g.n < 8 and 1 < h.n < 8:
+    # directed bidomains are not capped
+    if not g.directed and 1 < g.n < 8 and 1 < h.n < 8:
         g_mask, h_mask = (_SMALL_MASK[_side_key((1 << x.n) - 1, x.out_bits)] for x in (g, h))
         cap = _SMALL_SIZE[(g_mask & h_mask).bit_length()]
         if cap != size:
@@ -111,7 +118,7 @@ def sweep(label: str, pairs) -> bool:
                 print(f"  {line}")
             return False
         count += 1
-    print(f"{label}: {count} pairs, all configs and small-bidomain caps equal brute force ({perf_counter() - start:.1f} s)")
+    print(f"{label}: {count} pairs, every config and undirected cap equals brute force ({perf_counter() - start:.1f} s)")
     return True
 
 
@@ -119,12 +126,17 @@ def main() -> int:
     classes = graph_classes(6)
     graphs = [g for n in range(2, 7) for g in classes[n]]
     smaller = [g for n in range(1, 5) for g in labelled_graphs(n)]
+    two, three = labelled_graphs(2, directed=True), labelled_graphs(3, directed=True)
     ok = (
         sweep("class pairs on 2-6 vertices", itertools.product(graphs, graphs))
         and sweep("labelled pairs of 1-4 against 5 vertices", itertools.product(smaller, labelled_graphs(5)))
         and sweep(
             f"seeded pairs with a 7-vertex side (seed {SEVEN_SEED})",
             seven_vertex_pairs(classes[6], graphs, SEVEN_PAIRS, SEVEN_SEED),
+        )
+        and sweep(
+            "labelled directed pairs with loops of 2 against 3 vertices, both ways",
+            itertools.chain(itertools.product(two, three), itertools.product(three, two)),
         )
     )
     return 0 if ok else 1
