@@ -107,9 +107,9 @@ the list and with its plain bound, only when that lead is positive: the
 incumbent only grows, so a child without one would be popped only to be
 pruned. Then the node pushes its candidates from the top rank down, so
 they pop in value order with the unmatched child last, as the counters
-expect. A kept node owns its list (the root's, a split's result or its own copy),
-and its candidates share it, each taking u out and putting it back around
-its own split.
+expect. A kept node owns its list (the root's, a split's result or its
+own copy), and its candidates share it, each taking u out and putting it
+back around its own split.
 
 The counters live in locals of the loop and reach its ``SearchStats``
 once, when the loop ends, which a timeout does by ``break``. The choice of

@@ -26,13 +26,13 @@ complement rows of dense directed pairs and the swap of a larger G.
 A run passes when its size equals ``mcis.oracle.brute_force_size`` of the
 pair, which shares no code with the search, and its mapping is an induced
 isomorphism of that size. An undirected pair with 2-7 vertices a side
-must also get that size as the solver's small-bidomain cap, the size of the largest
-class both sides induce: a 6- or 7-vertex side here is a whole graph, so
-it caps a root only, where a cap one too low prunes only if the MCIS is
-1, and the runs alone would pass such a cap. The first pair that fails is
-printed as its two edge lists, with each failing configuration, and the
-exit code is 1. Else one line per sweep gives its pair count and seconds,
-and the exit code is 0.
+must also get that size as the solver's small-bidomain cap, the size of
+the largest class both sides induce: a 6- or 7-vertex side here is a
+whole graph, so it caps a root only, where a cap one too low prunes only
+if the MCIS is 1, and the runs alone would pass such a cap. The first
+pair that fails is printed as its two edge lists, with each failing
+configuration, and the exit code is 1. Else one line per sweep gives its
+pair count and seconds, and the exit code is 0.
 """
 
 from __future__ import annotations
