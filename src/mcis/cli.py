@@ -89,10 +89,10 @@ def _cmd_solve(args) -> int:
         args.g_path, args.h_path, config, args.format, args.directed, args.loops
     )
     payload = vars(report)
-    print(json.dumps(payload))
     if args.stats_json:
         with open(args.stats_json, "w") as f:
             json.dump(payload, f, indent=2)
+    print(json.dumps(payload))
     return 0 if report.completed else 2
 
 

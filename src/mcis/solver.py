@@ -18,7 +18,10 @@ the isomorphism class; on 5 and 6 vertices it does with the triangle count
 and the sum over edges of the product of their ends' degrees, and on 7
 with the triangle count and two sums over the vertices of the squared sum
 of their neighbours' degrees, one of them weighted by degree: 1,251
-classes on 2-7 vertices in all. Each class has an index, ascending with
+classes on 2-7 vertices in all. One walk over a side's vertices takes its
+degrees, its triangles and, below 7 vertices, its edge products; on 7 it
+also keeps the side's rows and the bits of its degrees, from which a
+second pass takes the two sums. Each class has an index, ascending with
 its size, and a mask with a bit for each class it induces. So the MCIS of
 two classes is the size of the class at the top bit of their masks' AND,
 and a bidomain of an undirected pair with 2-7 vertices on each side is
@@ -143,11 +146,11 @@ _CHECK_INTERVAL = 1024
 
 # a side's key is the sum of 8 ** degree over its vertices; no degree occurs
 # more than 7 times, so the sum spells out the degree sequence below bit 21.
-# On 5 and 6 vertices it adds the triangle count << 21, at most 20, and the
-# sum over edges of deg(a) * deg(b) << 26, at most 375. On 7 vertices it adds
-# the triangle count << 21, at most 35, and over the vertices the sum of s * s
-# << 27, at most 9,072, and of deg * s * s << 41, at most 54,432, where s is
-# the sum of a vertex's neighbours' degrees; so every key lies below 1 << 57
+# On 5-7 vertices the same walk adds the triangle count << 21, at most 35,
+# and below 7 the sum over edges of deg(a) * deg(b) << 26, at most 375. On 7
+# a second pass adds over the vertices the sum of s * s << 27, at most 9,072,
+# and of deg * s * s << 41, at most 54,432, where s is the sum of a vertex's
+# neighbours' degrees; so every key lies below 1 << 57
 _EIGHT_POW = (1, 8, 64, 512, 4096, 32768, 262144)
 # small sides whose class mask a search keeps per graph before it starts over
 _KEYS_KEPT = 4096
@@ -155,21 +158,32 @@ _KEYS_KEPT = 4096
 
 def _side_key(bits: int, rows: list[int]) -> int:
     """The key of the subgraph induced by the at most 7 vertices in ``bits``."""
-    key = 0
     n = bits.bit_count()
+    seven = n == 7
+    key = ones = twos = fours = 0
+    # on 7 vertices, the side's rows for the second pass
+    side_rows = [] if seven else None
     rest = bits
-    if n == 7:
-        # each vertex's row, the bits of its degree as three planes of
-        # vertices, and each triangle once, from its lowest vertex and its
-        # middle one
-        side_rows = []
-        ones = twos = fours = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row = rows[low.bit_length() - 1] & bits
-            d = row.bit_count()
-            key += _EIGHT_POW[d]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = rows[low.bit_length() - 1] & bits
+        d = row.bit_count()
+        key += _EIGHT_POW[d]
+        if n < 5:
+            continue
+        # each triangle once, from its lowest vertex and its middle one, and
+        # below 7 vertices each edge once, from its lower end
+        up = row & rest
+        while up:
+            mid = up & -up
+            up ^= mid
+            mid_row = rows[mid.bit_length() - 1]
+            key += (mid_row & up).bit_count() << 21
+            if not seven:
+                key += d * (mid_row & bits).bit_count() << 26
+        if seven:
+            # the bits of each vertex's degree as three planes of vertices
             if d & 1:
                 ones |= low
             if d & 2:
@@ -177,33 +191,12 @@ def _side_key(bits: int, rows: list[int]) -> int:
             if d & 4:
                 fours |= low
             side_rows.append(row)
-            up = row & rest
-            while up:
-                mid = up & -up
-                up ^= mid
-                key += (rows[mid.bit_length() - 1] & up).bit_count() << 21
+    if seven:
         for row in side_rows:
             # the sum of the vertex's neighbours' degrees, plane by plane
             s = (row & ones).bit_count() + 2 * (row & twos).bit_count() + 4 * (row & fours).bit_count()
             s *= s
             key += (s << 27) + (row.bit_count() * s << 41)
-        return key
-    big = n > 4
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        row = rows[low.bit_length() - 1] & bits
-        d = row.bit_count()
-        key += _EIGHT_POW[d]
-        if big:
-            # each edge once, from its lower end, and each triangle once,
-            # from its lowest vertex and its middle one
-            up = row & rest
-            while up:
-                mid = up & -up
-                up ^= mid
-                mid_row = rows[mid.bit_length() - 1]
-                key += ((mid_row & up).bit_count() << 21) + (d * (mid_row & bits).bit_count() << 26)
     return key
 
 
@@ -432,7 +425,6 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
     # relabelled on first use, indexed by rank
     h_out = [None] * h.n
     h_in = [None] * h.n if directed else None
-    gclass = [classes_g.class_id[v] for v in g_ids]
     hclass = [classes_h.class_id[u] for u in h_ids]
     # the other members of each vertex's class, as a mask of relabelled ids
     g_twins = [0] * g.n
@@ -524,6 +516,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         best_k = 1 << 60
         for i, (gb, hb, gl, hl) in enumerate(bds):
             k = gl if gl >= hl else hl
+            loss = h_at = 0
             # undirected sides of 2-7 vertices are capped by the size of
             # the largest class both induce
             if k < 8 and gl > 1 and hl > 1 and not directed:
@@ -534,15 +527,11 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
                 lead -= loss
                 if lead <= 0:
                     break
-                if k < best_k:
-                    best_k = k
-                    best_i = i
-                    best_loss = loss
-                    best_h_at = h_at
-            elif k < best_k:
+            if k < best_k:
                 best_k = k
                 best_i = i
-                best_loss = best_h_at = 0
+                best_loss = loss
+                best_h_at = h_at
         if lead <= 0:
             bound_prunes += 1
             continue
@@ -554,10 +543,12 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         gl -= 1
 
         var_bound = -1
-        if use_var and g_twins[v]:
-            cls = gclass[v]
+        twins = g_twins[v] if use_var else 0
+        # a matched vertex lies in no bidomain, so while all of v's twins
+        # are in its bidomain, none is on the path
+        if twins & gb != twins:
             for pv, pu in mapping:
-                if pu > var_bound and gclass[pv] == cls:
+                if pu > var_bound and twins >> pv & 1:
                     var_bound = pu
 
         # every child lacks v; the candidates share this list and take u out
@@ -567,7 +558,7 @@ def solve(g: Graph, h: Graph, config: SolverConfig | None = None) -> Solution:
         # leaving v out lowers the chosen min by one exactly when G's side,
         # now short of v, is the smaller
         rest_bound = bound - (gl < hl)
-        twins = gb & g_twins[v] if use_var else 0
+        twins &= gb
         if twins:
             # below v's unmatched child the var rule gives v's twins no
             # value, so they leave with v

@@ -67,3 +67,35 @@ def test_main_fails_when_a_rules_run_times_out(monkeypatch, tmp_path, var_comple
     assert bench_trajectory.main([str(checkout), "x", "--out", str(tmp_path)]) == code
     written = json.loads((tmp_path / "BENCH_x.json").read_bytes())
     assert written["rules"]["configs"] == configs and written["drift"] == []
+
+
+def test_check_fails_on_one_moved_counter(monkeypatch, tmp_path, capsys):
+    spec = {"run_seconds": 25, "workloads": [{"name": "large-sparse"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    verdict = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"branches": {"value": 5, "unit": "count"}}}
+    configs = bench("", 0, 30)["rules"]["configs"]
+    seconds = []
+    monkeypatch.setattr(bench_trajectory, "run_workload", lambda root, w, seed, s, trace: seconds.append(s) or verdict)
+    monkeypatch.setattr(bench_trajectory, "rule_totals", lambda root: configs)
+    measured, ok = bench_trajectory.measure(tmp_path, 1)
+    assert ok and seconds == [1, 1]
+    recorded = {"created": "2026-01-01T00:00:00+00:00", **measured}
+    (tmp_path / "BENCH_a.json").write_text(json.dumps(recorded))
+    assert bench_trajectory.check(tmp_path) == 0
+    assert seconds == [1, 1, 1, 1]
+    assert capsys.readouterr().out == "every counter equals BENCH_a.json\n"
+    # a later file with one workload counter or one rule total moved fails the
+    # gate, which names the counter
+    for edit, named in (
+        (lambda d: d["workloads"]["large-sparse"]["counters"].update(branches=6), "large-sparse branches: BENCH_b.json 6, this run 5"),
+        (lambda d: d["rules"]["configs"]["var"].update(branches=31), "twins-symmetric seed 1 var.branches: BENCH_b.json 31, this run 30"),
+    ):
+        moved = json.loads(json.dumps(recorded))
+        moved["created"] = "2026-01-02T00:00:00+00:00"
+        edit(moved)
+        (tmp_path / "BENCH_b.json").write_text(json.dumps(moved))
+        assert bench_trajectory.check(tmp_path) == 1
+        assert f"drift: {named}\n" in capsys.readouterr().out
+    # so does an incorrect run with every counter equal
+    monkeypatch.setattr(bench_trajectory, "run_workload", lambda *args: {**verdict, "correct": False})
+    assert bench_trajectory.check(tmp_path) == 1

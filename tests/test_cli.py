@@ -82,6 +82,16 @@ def test_solve_writes_stats_json(capsys, tmp_path, k3):
     assert json.loads(stats.read_text()) == json.loads(out)
 
 
+def test_solve_unwritable_stats_json_prints_no_report(capsys, tmp_path, k3):
+    # the file is written before the report is printed, so a failed write
+    # leaves nothing on stdout that reads as a finished run
+    stats = tmp_path / "missing" / "stats.json"
+    code, out, err = run(capsys, "solve", k3, k3, "--stats-json", str(stats))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_solve_timeout_exit_code(capsys, tmp_path):
     rng = random.Random(3)
     n = 40

@@ -144,6 +144,19 @@ def test_small_class_masks_match_brute_force():
     # class each, and the masks hold a key for every class on 1-7 vertices
     graphs.update(seven)
     assert graphs.keys() == _SMALL_MASK.keys()
+    # each class graph keys the same on scattered ids of a wide row list,
+    # as a side of a large target does, with edges out of the side
+    wide = random.Random(29)
+    width = 200
+    noise = [wide.getrandbits(width) for _ in range(width)]
+    for key, g in graphs.items():
+        ids = wide.sample(range(width), g.n)
+        bits = sum(1 << i for i in ids)
+        rows = noise.copy()
+        for a, row in enumerate(g.out_bits):
+            rows[ids[a]] &= ~bits
+            rows[ids[a]] |= sum(1 << ids[b] for b in range(g.n) if row >> b & 1)
+        assert _side_key(bits, rows) == key, (g, ids)
     # a mask on up to 6 vertices has the bit of each class its graph
     # induces, and one on 7 its own bit and the masks of its one-vertex
     # deletions, each found by its canonical form

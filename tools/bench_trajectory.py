@@ -25,6 +25,10 @@ The file, written to DIR (default: the directory above this script), holds:
 Counters that drift are printed to standard error as well. The exit code is
 1 when a run was not correct, or when a rule configuration's run timed out
 (its branch total then depends on the machine's speed), else 0.
+
+``check(root)`` is the counter gate CI runs on its own checkout: the same
+measurement with 1-s runs, failing also when a counter differs from the
+latest BENCH file in ``root``.
 """
 
 from __future__ import annotations
@@ -127,18 +131,11 @@ def latest(out_dir: Path, exclude: Path) -> Path | None:
     return max(found)[1] if found else None
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("checkout", type=Path, help="root of the checkout to measure")
-    ap.add_argument("label", help="names the file BENCH_<label>.json")
-    ap.add_argument("--out", type=Path, default=HERE, help="directory of the BENCH files")
-    args = ap.parse_args(argv)
-
-    root = args.checkout.resolve()
+def measure(root: Path, seconds: float) -> tuple[dict, bool]:
+    """The checkout's ``workloads`` and ``rules`` blocks of a BENCH file,
+    from runs of ``seconds`` each, and whether every run was correct with no
+    failed instance and every rules run completed."""
     spec = json.loads((root / "BENCHMARK.json").read_bytes())
-    seconds = spec["run_seconds"]
-    target = args.out / f"BENCH_{args.label}.json"
-
     workloads = {}
     ok = True
     for workload in (w["name"] for w in spec["workloads"]):
@@ -147,7 +144,9 @@ def main(argv=None) -> int:
             print(f"{workload} --trace {trace} ...", file=sys.stderr, flush=True)
             verdict = run_workload(root, workload, SEED, seconds, trace)
             data["runs"][key] = {k: verdict[k] for k in ("correct", "attempted", "failed")}
-            ok = ok and verdict["correct"] is True and verdict["failed"] == 0
+            if verdict["correct"] is not True or verdict["failed"] != 0:
+                print(f"error: {workload} --trace {trace}: {data['runs'][key]}", file=sys.stderr)
+                ok = False
             data[key] = verdict["metrics"]
             for name, metric in verdict["metrics"].items():
                 if metric["unit"] == "count":
@@ -160,6 +159,35 @@ def main(argv=None) -> int:
         if data["completed"] < data["instances"]:
             print(f"error: {name} completed {data['completed']} of {data['instances']} runs", file=sys.stderr)
             ok = False
+    return {"workloads": workloads, "rules": {"workload": RULES_WORKLOAD, "seed": RULES_SEED, "configs": configs}}, ok
+
+
+def check(root: Path) -> int:
+    """The counter gate: 1-s runs of the checkout at ``root``, whose counters
+    must all equal those of its BENCH file with the latest ``created`` time.
+    Returns 1 on any drift, incorrect run or timed-out rules run, else 0."""
+    measured, ok = measure(root, 1)
+    # BENCHMARK.json is no BENCH_*.json file, so no file is excluded
+    path = latest(root, root / "BENCHMARK.json")
+    moved = drift(json.loads(path.read_bytes()), measured)
+    for d in moved:
+        print(f"drift: {d['scope']} {d['counter']}: {path.name} {d['previous']}, this run {d['current']}")
+    if ok and not moved:
+        print(f"every counter equals {path.name}")
+    return 0 if ok and not moved else 1
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("checkout", type=Path, help="root of the checkout to measure")
+    ap.add_argument("label", help="names the file BENCH_<label>.json")
+    ap.add_argument("--out", type=Path, default=HERE, help="directory of the BENCH files")
+    args = ap.parse_args(argv)
+
+    root = args.checkout.resolve()
+    seconds = json.loads((root / "BENCHMARK.json").read_bytes())["run_seconds"]
+    target = args.out / f"BENCH_{args.label}.json"
+    measured, ok = measure(root, seconds)
     bench = {
         "label": args.label,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -170,8 +198,7 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
             "git_describe": git_describe(root),
         },
-        "workloads": workloads,
-        "rules": {"workload": RULES_WORKLOAD, "seed": RULES_SEED, "configs": configs},
+        **measured,
     }
     previous = latest(args.out, target)
     bench["previous"] = previous.name if previous else None
